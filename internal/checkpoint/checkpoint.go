@@ -48,14 +48,16 @@ type Stats struct {
 	Bypassed uint64
 	// Evictions counts in-memory entries shed by the cap (SetCap).
 	Evictions uint64
-	// Entries is the current in-memory entry count (in-flight included).
+	// Entries is the current in-memory checkpoint count (warmups still
+	// simulating are not counted).
 	Entries int
 }
 
 // Cache memoizes warmup checkpoints by warmup-prefix fingerprint.
 //
-// The in-memory tier is a single-flight LRU memo: concurrent requests for one
-// prefix share a single warmup simulation. Warmups execute on the cache's own
+// The in-memory tier is a runner.Memo: concurrent requests for one prefix
+// share a single warmup simulation, and captured checkpoints stay in its LRU
+// (unbounded unless SetCap bounds it). Warmups execute on the cache's own
 // worker pool, never on the caller's, so a sweep worker blocked on a shared
 // warmup cannot deadlock the pool it runs in. The optional store tier
 // persists frames across processes; corrupt or missing entries silently fall
@@ -69,26 +71,23 @@ type Cache struct {
 	hits, misses, forks, bypassed atomic.Uint64
 }
 
-// New builds an in-memory cache. Attach a persistence tier with Persist.
+// New builds an in-memory cache.
 func New() *Cache {
 	return &Cache{pool: runner.NewPooled(0)}
 }
 
-// Open builds a cache persisted under dir (creating it if needed).
+// Open builds a cache persisted under dir (creating it if needed): captured
+// checkpoints are written through, and an in-memory miss consults the store
+// before simulating warmup.
 func Open(dir string, fsync store.FsyncPolicy) (*Cache, error) {
 	st, err := store.Open(dir, fsync)
 	if err != nil {
 		return nil, err
 	}
 	c := New()
-	c.Persist(st)
+	c.st = st
 	return c, nil
 }
-
-// Persist attaches a backing store: captured checkpoints are written through,
-// and an in-memory miss consults the store before simulating warmup. Install
-// before the first Run; later attachment races with in-flight lookups.
-func (c *Cache) Persist(st *store.Store) { c.st = st }
 
 // Store returns the backing store, nil when the cache is memory-only.
 func (c *Cache) Store() *store.Store {
@@ -101,7 +100,7 @@ func (c *Cache) Store() *store.Store {
 // SetCap bounds the in-memory tier to n checkpoints with LRU eviction
 // (n <= 0 restores the unbounded default). A store-backed cache re-reads
 // evicted entries from disk; a memory-only cache re-simulates them.
-func (c *Cache) SetCap(n int) { c.memo.SetCap(n) }
+func (c *Cache) SetCap(n int) { c.memo.SetCap(max(n, 0)) }
 
 // Snapshot returns the cache's counters. Nil-safe (all zeros).
 func (c *Cache) Snapshot() Stats {
@@ -164,10 +163,11 @@ func (c *Cache) Get(ctx context.Context, cfg core.Config) (*core.Checkpoint, err
 		c.toStore(chk)
 		return chk, nil
 	})
-	if !created {
+	chk, err := f.Wait()
+	if err == nil && !created { // a joined flight that failed served nothing
 		c.hits.Add(1)
 	}
-	return f.Wait()
+	return chk, err
 }
 
 // fromStore reads a persisted checkpoint back; any miss, corruption, or

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"smtdram/internal/core"
 	"smtdram/internal/store"
@@ -209,5 +211,43 @@ func TestSetCapEvicts(t *testing.T) {
 	st := c.Snapshot()
 	if st.Evictions != 1 || st.Entries != 1 {
 		t.Fatalf("counters = %+v, want 1 eviction leaving 1 entry", st)
+	}
+}
+
+// TestJoinedFailedFlightIsNoHit: a Get that joins a flight which then fails
+// served no checkpoint, so it counts as nothing. The first Get's context is
+// cancelled mid-warmup while a second Get waits on the same flight; both see
+// the cancellation, and the counters show the one warmup started, no hit.
+func TestJoinedFailedFlightIsNoHit(t *testing.T) {
+	cfg := fastCfg("mcf")
+	cfg.WarmupInstr = 1_000_000_000 // far longer than the test runs
+	c := New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.Get(ctx, cfg)
+		errs <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.Snapshot().Misses == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first Get never started its warmup")
+		}
+	}
+	// The joiner shares the cancellation, so it cannot outlive the test even
+	// if it were scheduled only after the flight had ended.
+	go func() {
+		_, err := c.Get(ctx, cfg)
+		errs <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the second Get join the flight
+	cancel()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Get returned %v, want context.Canceled", err)
+		}
+	}
+	if st := c.Snapshot(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("counters = %+v, want 0 hits and 1 miss: no checkpoint was served", st)
 	}
 }

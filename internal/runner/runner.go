@@ -15,6 +15,7 @@
 package runner
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"runtime"
@@ -99,8 +100,9 @@ func (f *Future[T]) Wait() (T, error) {
 	return f.val, f.err
 }
 
-// Resolved builds an already-completed future carrying v. The baseline memo
-// uses it to hand out cached values through the same Wait interface.
+// Resolved builds an already-completed future carrying v. Memo and the
+// figures baseline cache use it to hand out cached values through the same
+// Wait interface.
 func Resolved[T any](v T, err error) *Future[T] {
 	return &Future[T]{val: v, err: err}
 }
@@ -170,15 +172,24 @@ func SubmitCtx[T any](p *Pool, ctx context.Context, fn func(context.Context) (T,
 // watchdog boundaries). Cancellation never poisons the pool: the slot is
 // released as usual and later submissions run normally.
 func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(context.Context) (T, error)) *Future[T] {
+	return submit(p, ctx, name, fn, nil)
+}
+
+// submit is SubmitNamedCtx with a landing hook: land, when non-nil, sees the
+// job's outcome — a cancellation while queued included — before any Wait
+// returns it. Memo lands each flight through it.
+func submit[T any](p *Pool, ctx context.Context, name string, fn func(context.Context) (T, error), land func(T, error)) *Future[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := func() (T, error) {
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, err
+	run := func() (v T, err error) {
+		if err = ctx.Err(); err == nil {
+			v, err = guard(name, func() (T, error) { return fn(ctx) })
 		}
-		return guard(name, func() (T, error) { return fn(ctx) })
+		if land != nil {
+			land(v, err)
+		}
+		return v, err
 	}
 	if p.sem == nil {
 		return &Future[T]{fn: run}
@@ -189,7 +200,7 @@ func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(co
 		select {
 		case p.sem <- struct{}{}:
 		case <-ctx.Done():
-			f.err = ctx.Err()
+			f.val, f.err = run() // resolves to ctx.Err() without calling fn
 			close(f.done)
 			return
 		}
@@ -203,148 +214,161 @@ func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(co
 	return f
 }
 
-// Memo is a concurrency-safe, single-flight memoization table: the first
-// Get for a key submits the compute job, every later Get — concurrent or
-// not — receives the same future. The figures package uses it to run each
-// alone-IPC baseline exactly once per experiments invocation, no matter how
-// many figures (or concurrent weighted-speedup jobs) need it; the server's
-// result path uses it to collapse identical in-flight simulation requests
-// into one run.
+// Memo is a concurrency-safe, single-flight memoization table with one LRU
+// tier of resolved values. The first Get for a key submits the compute job;
+// every Get while it runs joins the same future; its success then moves into
+// the LRU, where later Gets find it without computing. It is the one memory
+// tier behind every repeated run: the figures package's alone-IPC baselines,
+// the warmup checkpoints (internal/checkpoint), and the serving daemon's
+// result cache, whose disk and peer tiers promote into it through Peek/Add.
 //
-// Only successes stay cached. A fn that returns an error or panics is
-// forgotten the moment it fails: concurrent Gets already holding the future
-// still see the failure (that flight is shared), but a later Get with the
-// same key re-executes instead of replaying a stale error forever.
-// A Memo is unbounded by default; SetCap bounds it, evicting the
-// least-recently-used *resolved* entry when an insertion overflows the cap.
-// In-flight futures are never evicted (they represent running work whose
-// waiters hold the future anyway), so a memo can transiently exceed its cap
-// while more than cap flights are airborne.
+// Only successes are kept. A fn that returns an error, panics, or is
+// cancelled before it runs is dropped the moment it fails: Gets already
+// holding the future still see the failure (that flight is shared), but a
+// later Get with the same key re-executes instead of replaying a stale error.
+//
+// SetCap chooses the retention: unbounded (the default, 0), bounded to n
+// resolved values with least-recently-used eviction (n > 0), or nothing at
+// all (n < 0: single-flight only). The cap counts resolved values alone, so
+// in-flight work is never evicted.
 type Memo[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*Future[V]
-	// use is each key's last-touch stamp from clock, the LRU order.
-	use   map[K]uint64
-	clock uint64
-	cap   int
-	// evicted counts cap-driven removals over the memo's lifetime.
-	evicted uint64
+	// flights holds the running work; a flight leaves it when it lands.
+	flights map[K]*Future[V]
+	// vals indexes order, the resolved values, most recently used in front.
+	vals    map[K]*list.Element
+	order   list.List
+	cap     int
+	evicted uint64 // cap-driven removals over the memo's lifetime
 }
 
-// SetCap bounds the memo to n entries with LRU eviction of resolved futures
-// (n <= 0 restores the unbounded default). Safe to call at any time; an
-// over-cap memo sheds entries on subsequent insertions, not immediately.
+// memoEntry is one resolved value in a Memo's LRU order.
+type memoEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// SetCap sets the retention: n > 0 keeps the n most recently used values,
+// 0 keeps every value, n < 0 keeps none. Safe to call at any time; an
+// over-cap memo sheds entries on its next insertion, not immediately.
 func (m *Memo[K, V]) SetCap(n int) {
 	m.mu.Lock()
 	m.cap = n
 	m.mu.Unlock()
 }
 
-// Evictions reports how many entries the cap has evicted.
+// Evictions reports how many values the cap has evicted.
 func (m *Memo[K, V]) Evictions() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.evicted
 }
 
-// resolvedForEvict reports whether the future has a value (or error) and no
-// pending execution — the only state eviction may discard. Pooled futures
-// answer via their done channel; lazy and pre-resolved futures via fn.
-func (f *Future[T]) resolvedForEvict() bool {
-	if f.done != nil {
-		select {
-		case <-f.done:
-			return true
-		default:
-			return false
-		}
-	}
-	return f.fn == nil
-}
-
-// evictLocked sheds least-recently-used resolved entries until the memo fits
-// its cap. Caller holds m.mu.
-func (m *Memo[K, V]) evictLocked() {
-	for m.cap > 0 && len(m.m) > m.cap {
-		var (
-			victim    K
-			victimUse uint64
-			found     bool
-		)
-		for k, f := range m.m {
-			if !f.resolvedForEvict() {
-				continue
-			}
-			if u := m.use[k]; !found || u < victimUse {
-				victim, victimUse, found = k, u, true
-			}
-		}
-		if !found {
-			return // everything in flight: stay over cap rather than drop work
-		}
-		delete(m.m, victim)
-		delete(m.use, victim)
-		m.evicted++
-	}
-}
-
-// Get returns the future for key, submitting fn on p only on the first call.
+// Get returns the future for key, submitting fn on p only when key is
+// neither resolved nor in flight.
 func (m *Memo[K, V]) Get(p *Pool, key K, fn func() (V, error)) *Future[V] {
 	f, _ := m.GetCtx(p, context.Background(), key, func(context.Context) (V, error) { return fn() })
 	return f
 }
 
 // GetCtx is Get with a cancellation context for the submitted job and a
-// report of whether this call started the flight (created) or joined an
-// existing one — the daemon's dedup counter. The context belongs to the
-// flight, not the caller: it is the first Get's ctx that governs the run, so
-// callers sharing a flight must manage a joint context themselves (the server
-// refcounts one per fingerprint).
+// report of whether this call started the flight (created) or found the key
+// resolved or in flight — the daemon's dedup signal. The context belongs to
+// the flight, not the caller: it is the first Get's ctx that governs the
+// run, so callers sharing a flight must manage a joint context themselves
+// (the server refcounts one per fingerprint).
 func (m *Memo[K, V]) GetCtx(p *Pool, ctx context.Context, key K, fn func(context.Context) (V, error)) (f *Future[V], created bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.m == nil {
-		m.m = make(map[K]*Future[V])
-		m.use = make(map[K]uint64)
+	if v, ok := m.peekLocked(key); ok {
+		return Resolved(v, nil), false
 	}
-	m.clock++
-	if f, ok := m.m[key]; ok {
-		m.use[key] = m.clock
+	if f, ok := m.flights[key]; ok {
 		return f, false
 	}
-	f = SubmitCtx(p, ctx, func(ctx context.Context) (V, error) {
-		defer func() {
-			if r := recover(); r != nil {
-				m.Forget(key) // panic = failure: do not cache (guard rethrows as PanicError)
-				panic(r)
-			}
-		}()
-		v, err := fn(ctx)
-		if err != nil {
-			m.Forget(key)
+	if m.flights == nil {
+		m.flights = make(map[K]*Future[V])
+	}
+	f = submit(p, ctx, "", fn, func(v V, err error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.flights[key] != f {
+			return // forgotten mid-flight
 		}
-		return v, err
+		delete(m.flights, key)
+		if err == nil {
+			m.addLocked(key, v)
+		}
 	})
-	m.m[key] = f
-	m.use[key] = m.clock
-	m.evictLocked()
+	m.flights[key] = f
 	return f, true
 }
 
-// Forget drops key's entry so the next Get re-executes. The memo calls it
-// itself on failures; long-lived callers (the serving daemon) also call it
-// after migrating a completed value into a bounded cache so the memo tracks
-// only in-flight work and cannot grow without bound.
-func (m *Memo[K, V]) Forget(key K) {
+// Peek returns key's resolved value, promoting it, without computing or
+// joining a flight.
+func (m *Memo[K, V]) Peek(key K) (V, bool) {
 	m.mu.Lock()
-	delete(m.m, key)
-	delete(m.use, key)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	return m.peekLocked(key)
 }
 
-// Len reports how many entries (in-flight or cached successes) the memo holds.
+func (m *Memo[K, V]) peekLocked(key K) (v V, ok bool) {
+	el, ok := m.vals[key]
+	if !ok {
+		return v, false
+	}
+	m.order.MoveToFront(el)
+	return el.Value.(*memoEntry[K, V]).val, true
+}
+
+// Add stores v as key's resolved value without computing — how a slower tier
+// (a disk store, a fleet peer) promotes a hit. Re-adding a key refreshes its
+// value and recency.
+func (m *Memo[K, V]) Add(key K, v V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.addLocked(key, v)
+}
+
+func (m *Memo[K, V]) addLocked(key K, v V) {
+	if m.cap < 0 {
+		return
+	}
+	if el, ok := m.vals[key]; ok {
+		el.Value.(*memoEntry[K, V]).val = v
+		m.order.MoveToFront(el)
+		return
+	}
+	if m.vals == nil {
+		m.vals = make(map[K]*list.Element)
+	}
+	m.vals[key] = m.order.PushFront(&memoEntry[K, V]{key: key, val: v})
+	for m.cap > 0 && m.order.Len() > m.cap {
+		m.removeLocked(m.order.Back())
+		m.evicted++
+	}
+}
+
+func (m *Memo[K, V]) removeLocked(el *list.Element) {
+	m.order.Remove(el)
+	delete(m.vals, el.Value.(*memoEntry[K, V]).key)
+}
+
+// Forget drops key — resolved or in flight — so the next Get re-executes. A
+// forgotten flight still resolves for its waiters but is not kept.
+func (m *Memo[K, V]) Forget(key K) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.flights, key)
+	if el, ok := m.vals[key]; ok {
+		m.removeLocked(el)
+	}
+}
+
+// Len reports how many resolved values the memo holds; flights in progress
+// are not counted.
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.m)
+	return m.order.Len()
 }

@@ -16,9 +16,9 @@ import (
 
 // This file wires the durability layer (internal/store) into the daemon:
 //
-//   - the result cache gains a disk tier: lookups fall back LRU → disk →
-//     compute, and every computed result is written through to the
-//     content-addressed store before its jobs resolve;
+//   - the result cache gains a disk tier: lookups fall back from the memo's
+//     LRU → disk → compute, and every computed result is written through to
+//     the content-addressed store before its jobs resolve;
 //   - every job lifecycle transition is journaled write-ahead (submitted
 //     with the full request, started, resolved, cancelled);
 //   - startup replays the journal: finished jobs are rehydrated from the
@@ -72,15 +72,15 @@ func (s *Server) openDurable() {
 // storeGet is the disk tier of the cache ladder. A corrupt entry has already
 // been quarantined by the store; it reports as a miss and the caller
 // recomputes.
-func (s *Server) storeGet(fp string) ([]byte, *SkipInfo, bool) {
+func (s *Server) storeGet(fp string) (answer, bool) {
 	if s.store == nil {
-		return nil, nil, false
+		return answer{}, false
 	}
 	payload, meta, err := s.store.Get(fp)
 	switch {
 	case err == nil:
 		s.count(s.mStoreHits)
-		return payload, skipFromMeta(meta), true
+		return answer{val: payload, skip: skipFromMeta(meta)}, true
 	case errors.Is(err, store.ErrNotFound):
 		s.count(s.mStoreMisses)
 	default:
@@ -88,21 +88,21 @@ func (s *Server) storeGet(fp string) ([]byte, *SkipInfo, bool) {
 		s.count(s.mStoreMisses)
 		s.log.Warn("store entry corrupt; quarantined, recomputing", "fp", fp, "err", err)
 	}
-	return nil, nil, false
+	return answer{}, false
 }
 
 // storePut writes a computed result through to the disk tier. Write errors
-// degrade the store to memory-only mode: serving continues from the LRU and
+// degrade the store to memory-only mode: serving continues from the memo and
 // recomputation, and /readyz turns unready.
-func (s *Server) storePut(fp string, payload []byte, skip *SkipInfo) {
+func (s *Server) storePut(fp string, a answer) {
 	if s.store == nil {
 		return
 	}
 	var meta []byte
-	if skip != nil {
-		meta, _ = json.Marshal(storeMeta{Skip: skip})
+	if a.skip != nil {
+		meta, _ = json.Marshal(storeMeta{Skip: a.skip})
 	}
-	if err := s.store.Put(fp, payload, meta); err != nil {
+	if err := s.store.Put(fp, a.val, meta); err != nil {
 		s.count(s.mStoreWriteErrors)
 		if !errors.Is(err, store.ErrDegraded) {
 			s.log.Warn("store write failed; degrading to memory-only result serving",
@@ -230,8 +230,8 @@ func (s *Server) recoverFromJournal(path string) {
 			// Done jobs rehydrate from the store; interrupted jobs whose
 			// fingerprint already has a stored result (a sibling finished
 			// and persisted before the crash) rehydrate the same way.
-			if payload, sk, ok := s.storeGet(f.fp); ok {
-				s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", payload, sk)
+			if a, ok := s.storeGet(f.fp); ok {
+				s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", a.val, a.skip)
 				s.recRehydrated++
 				// Keep the (tiny) request in the compacted record: if the
 				// stored result is ever quarantined, a later recovery re-runs
@@ -316,7 +316,7 @@ func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg stri
 // no longer parses (schema drift across a binary upgrade) fails the job
 // rather than dropping it.
 func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
-	var fn func(*flight) func(context.Context) (json.RawMessage, error)
+	var fn flightFn
 	switch f.kind {
 	case "sim":
 		var req SimRequest

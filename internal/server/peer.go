@@ -55,9 +55,9 @@ func (s *Server) Role() string {
 // compute): on a local miss, ask the fleet for the key's previous owner's
 // copy. A hit is written through to the local store so the entry's new owner
 // serves it from disk next time.
-func (s *Server) peerGet(ctx context.Context, fp string) ([]byte, *SkipInfo, bool) {
+func (s *Server) peerGet(ctx context.Context, fp string) (answer, bool) {
 	if s.cfg.PeerFetch == nil {
-		return nil, nil, false
+		return answer{}, false
 	}
 	timeout := s.cfg.PeerTimeout
 	if timeout <= 0 {
@@ -70,8 +70,9 @@ func (s *Server) peerGet(ctx context.Context, fp string) ([]byte, *SkipInfo, boo
 	case err == nil:
 		s.count(s.mPeerHits)
 		s.log.Info("peer cache hit", "fp", fp)
-		s.storePut(fp, payload, skipFromMeta(meta))
-		return payload, skipFromMeta(meta), true
+		a := answer{val: payload, skip: skipFromMeta(meta)}
+		s.storePut(fp, a)
+		return a, true
 	case errors.Is(err, ErrPeerCorrupt):
 		s.count(s.mPeerCorrupt)
 		s.count(s.mPeerMisses)
@@ -79,12 +80,12 @@ func (s *Server) peerGet(ctx context.Context, fp string) ([]byte, *SkipInfo, boo
 	default:
 		s.count(s.mPeerMisses)
 	}
-	return nil, nil, false
+	return answer{}, false
 }
 
 // handlePeerResult serves one durable entry to a fleet peer in the store's
-// CRC-framed entry format (GET /v1/peer/result?key=K). The LRU answers
-// first; the disk tier backs it. A corrupt on-disk entry has already been
+// CRC-framed entry format (GET /v1/peer/result?key=K). The memo's LRU
+// answers first; the disk tier backs it. A corrupt on-disk entry has already been
 // quarantined by store.Get and reports as a miss here — a peer never
 // receives bytes the local daemon would not serve itself.
 func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
@@ -93,23 +94,21 @@ func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
-	s.mu.Lock()
-	payload, sk, ok := s.cache.get(key)
-	s.mu.Unlock()
+	a, ok := s.memo.Peek(key)
 	if !ok {
-		if payload, sk, ok = s.storeGet(key); !ok {
+		if a, ok = s.storeGet(key); !ok {
 			s.count(s.mPeerServeMisses)
 			writeErr(w, http.StatusNotFound, "no entry for key")
 			return
 		}
 	}
 	var meta []byte
-	if sk != nil {
-		meta, _ = json.Marshal(storeMeta{Skip: sk})
+	if a.skip != nil {
+		meta, _ = json.Marshal(storeMeta{Skip: a.skip})
 	}
 	s.count(s.mPeerServed)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(store.EncodeEntry(key, meta, payload))
+	_, _ = w.Write(store.EncodeEntry(key, meta, a.val))
 }
 
 // NodeSelf is the /v1/fleet/self payload: the identity probe the coordinator

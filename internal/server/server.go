@@ -1,8 +1,8 @@
 // Package server is the simulation-as-a-service daemon behind cmd/smtdramd:
 // an HTTP/JSON API that accepts simulation and figure-sweep submissions,
-// runs them on a bounded worker pool, and serves results from a
-// fingerprint-keyed LRU cache with single-flight deduplication of identical
-// in-flight requests.
+// runs them on a bounded worker pool, and serves results from one
+// fingerprint-keyed single-flight memo: identical in-flight requests share a
+// run, and finished results stay in its LRU.
 //
 // The serving contract mirrors the CLI exactly: a submitted configuration
 // produces a core.Result byte-identical to `smtdram -json` with the same
@@ -62,7 +62,7 @@ type Config struct {
 	// parallelism.
 	Workers int
 	// CacheEntries is the result cache capacity (default 256; 0 keeps the
-	// default, negative disables caching).
+	// default, negative disables caching but keeps in-flight dedup).
 	CacheEntries int
 	// ProgressInterval is the minimum simulated-cycle gap between streamed
 	// progress samples (default 10 000).
@@ -91,9 +91,6 @@ type Config struct {
 	// content-addressed store, so figure sweeps fork warm re-runs across
 	// daemon restarts. Empty keeps warmup memoization in-memory only.
 	CheckpointDir string
-	// CheckpointEntries bounds the in-memory checkpoint tier (default 64;
-	// 0 keeps the default, negative removes the bound).
-	CheckpointEntries int
 	// NodeID names this daemon in a fleet (DESIGN §16). When set, job ids
 	// become "j-<node>-<n>" so a coordinator can route job lookups
 	// statelessly, and /metrics and /v1/stats carry node_id/role labels.
@@ -126,11 +123,12 @@ func (c Config) withDefaults() Config {
 	if c.SpanCapacity <= 0 {
 		c.SpanCapacity = 8192
 	}
-	if c.CheckpointEntries == 0 {
-		c.CheckpointEntries = 64
-	}
 	return c
 }
+
+// checkpointEntries bounds the daemon's in-memory warmup-checkpoint tier; a
+// configured CheckpointDir re-reads evicted entries from disk.
+const checkpointEntries = 64
 
 // State is a job's lifecycle phase.
 type State string
@@ -266,6 +264,18 @@ func (j *job) status(includeResult bool) JobStatus {
 	return st
 }
 
+// answer is one memoized result: the byte-identical payload plus the
+// producing run's skip summary (nil for figure sweeps), which cached answers
+// replay beside the payload.
+type answer struct {
+	val  json.RawMessage
+	skip *SkipInfo
+}
+
+// flightFn builds a flight's compute function once the flight exists, so
+// the run can report progress and state to the jobs riding it.
+type flightFn func(*flight) func(context.Context) (json.RawMessage, error)
+
 // flight is one in-flight computation, shared by every job submitted with
 // the same fingerprint while it runs. Exactly one goroutine (awaitFlight)
 // waits on the future, so the pool's lazy single-worker mode stays safe.
@@ -274,7 +284,7 @@ type flight struct {
 	fp     string
 	ctx    context.Context
 	cancel context.CancelFunc
-	fut    *runner.Future[json.RawMessage]
+	fut    *runner.Future[answer]
 	// refs counts attached (undetached) jobs; the last cancellation cancels
 	// the context. jobs lists them for progress broadcast and completion.
 	// Both guarded by Server.mu.
@@ -291,8 +301,8 @@ type flight struct {
 	simStart  time.Time
 	simEvents []obs.Event
 	// skip is the finished run's two-speed-clock summary (simulation flights
-	// only), written by the compute fn under Server.mu before the future
-	// resolves and handed to every rider by awaitFlight.
+	// only), written by the compute fn under Server.mu before it returns and
+	// memoized beside the payload.
 	skip *SkipInfo
 }
 
@@ -301,13 +311,14 @@ type flight struct {
 type Server struct {
 	cfg  Config
 	pool *runner.Pool
-	memo runner.Memo[string, json.RawMessage]
+	// memo is the result cache's memory tier: in-flight runs single-flighted
+	// by fingerprint, finished ones in its LRU (Config.CacheEntries).
+	memo runner.Memo[string, answer]
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	jobOrder  []string // insertion order, for bounded retention
-	flights   map[string]*flight
-	cache     *lruCache
+	jobOrder  []string           // insertion order, for bounded retention
+	flights   map[string]*flight // per-flight job state, keyed by fingerprint
 	startedAt time.Time
 
 	// checkpoints memoizes warmup prefixes for the figure-sweep path
@@ -409,10 +420,10 @@ func New(cfg Config) *Server {
 		pool:      runner.NewPooled(cfg.Workers),
 		jobs:      map[string]*job{},
 		flights:   map[string]*flight{},
-		cache:     newLRU(cfg.CacheEntries),
 		slots:     make(chan struct{}, cfg.QueueDepth),
 		startedAt: time.Now(),
 	}
+	s.memo.SetCap(cfg.CacheEntries)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.log = cfg.Logger
 	if s.log == nil {
@@ -431,9 +442,7 @@ func New(cfg Config) *Server {
 			s.checkpoints = c
 		}
 	}
-	if cfg.CheckpointEntries > 0 {
-		s.checkpoints.SetCap(cfg.CheckpointEntries)
-	}
+	s.checkpoints.SetCap(checkpointEntries)
 
 	msBounds := []uint64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 	usBounds := []uint64{
@@ -471,11 +480,7 @@ func New(cfg Config) *Server {
 	s.reg.Gauge("workers_busy", func(uint64) float64 { return float64(s.busy.Load()) })
 	s.reg.Gauge("uptime_seconds", func(uint64) float64 { return time.Since(s.startedAt).Seconds() })
 	s.reg.Gauge("trace_spans_dropped", func(uint64) float64 { return float64(s.spans.Dropped()) })
-	s.reg.Gauge("cache_entries", func(uint64) float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.cache.len())
-	})
+	s.reg.Gauge("cache_entries", func(uint64) float64 { return float64(s.memo.Len()) })
 	s.vitals = obs.RegisterRuntimeMetrics(s.reg)
 	// Hits and misses are monotonic, so they are registry counters (the
 	// _total suffix promises counter semantics to Prometheus tooling), counted
@@ -719,13 +724,13 @@ func (s *Server) releaseSlot(j *job) {
 // is touched (metricsMu nests outside s.mu — the /metrics render holds it
 // while gauges read s.mu). root/adm are the submission's spans; both end
 // here with the cache-hit outcome.
-func (s *Server) serveCachedLocked(w http.ResponseWriter, kind, fp string, b []byte, sk *SkipInfo, t0 time.Time, root, adm *obs.Span, peer bool) {
+func (s *Server) serveCachedLocked(w http.ResponseWriter, kind, fp string, a answer, t0 time.Time, root, adm *obs.Span, peer bool) {
 	j := s.newJobLocked(kind, fp)
 	j.cached = true
 	j.peer = peer
 	j.state = StateDone
-	j.result = b
-	j.skip = sk
+	j.result = a.val
+	j.skip = a.skip
 	j.span = root
 	root.SetAttr("job", j.id)
 	s.mu.Unlock()
@@ -748,26 +753,34 @@ func (s *Server) serveCachedLocked(w http.ResponseWriter, kind, fp string, b []b
 // flightForLocked finds fp's in-flight computation or starts a new one
 // running fn. The caller holds s.mu; created reports whether a new flight
 // (and its awaitFlight waiter) was launched.
-func (s *Server) flightForLocked(fp string, root *obs.Span, fn func(*flight) func(context.Context) (json.RawMessage, error)) (fl *flight, created bool) {
+func (s *Server) flightForLocked(fp string, root *obs.Span, fn flightFn) (fl *flight, created bool) {
 	if fl = s.flights[fp]; fl != nil {
 		return fl, false
 	}
 	fl = &flight{id: fmt.Sprintf("f-%d", s.nextFlight.Add(1)), fp: fp, rootSpan: root}
 	fl.ctx, fl.cancel = context.WithCancel(s.baseCtx)
-	fl.fut, _ = s.memo.GetCtx(s.pool, fl.ctx, fp, fn(fl))
+	compute := fn(fl)
+	var computing bool
+	fl.fut, computing = s.memo.GetCtx(s.pool, fl.ctx, fp, func(ctx context.Context) (answer, error) {
+		b, err := compute(ctx)
+		return answer{val: b, skip: fl.skip}, err
+	})
+	// Journal recovery starts flights without consulting the memo first; one
+	// whose result an earlier recovered twin already landed resolves at once.
+	fl.started = !computing
 	s.flights[fp] = fl
 	s.wg.Add(1)
 	go s.awaitFlight(fl)
 	return fl, true
 }
 
-// submit runs the common submission path: answer from the LRU, the disk
-// store, or a fleet peer; join an in-flight twin; or start a new flight
+// submit runs the common submission path: answer from the memo's LRU, the
+// disk store, or a fleet peer; join an in-flight twin; or start a new flight
 // computing fn. reqJSON is the original wire request, journaled write-ahead
 // so a crashed daemon can re-run the job. r carries the tenant and priority
 // headers for admission. Every outcome — even a rejection — leaves a span
 // tree in the serving trace.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string, reqJSON []byte, fn func(*flight) func(context.Context) (json.RawMessage, error)) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string, reqJSON []byte, fn flightFn) {
 	t0 := time.Now()
 	root := s.spans.Start("job", obs.A("kind", kind), obs.A("fp", fp))
 	adm := root.Child("admission")
@@ -807,27 +820,27 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 	}
 
 	s.mu.Lock()
-	if b, sk, ok := s.cache.get(fp); ok {
-		s.serveCachedLocked(w, kind, fp, b, sk, t0, root, adm, false)
+	if a, ok := s.memo.Peek(fp); ok {
+		s.serveCachedLocked(w, kind, fp, a, t0, root, adm, false)
 		return
 	}
 	s.mu.Unlock()
-	// Disk tier: an LRU miss falls back to the content-addressed store (IO
-	// outside s.mu) before computing. A hit is promoted into the LRU, so the
-	// ladder is LRU → disk → peer → compute.
-	if b, sk, ok := s.storeGet(fp); ok {
+	// Disk tier: a memo miss falls back to the content-addressed store (IO
+	// outside s.mu) before computing. A hit is promoted into the memo's LRU,
+	// so the ladder is LRU → disk → peer → compute.
+	if a, ok := s.storeGet(fp); ok {
 		s.mu.Lock()
-		s.cache.add(fp, b, sk)
-		s.serveCachedLocked(w, kind, fp, b, sk, t0, root, adm, false)
+		s.memo.Add(fp, a)
+		s.serveCachedLocked(w, kind, fp, a, t0, root, adm, false)
 		return
 	}
 	// Peering tier: in a fleet, the key's previous ring owner may hold the
 	// result this node has never computed (membership changed, or the sweep
 	// warmed a sibling). CRC-verified transfer, then write-through above.
-	if b, sk, ok := s.peerGet(r.Context(), fp); ok {
+	if a, ok := s.peerGet(r.Context(), fp); ok {
 		s.mu.Lock()
-		s.cache.add(fp, b, sk)
-		s.serveCachedLocked(w, kind, fp, b, sk, t0, root, adm, true)
+		s.memo.Add(fp, a)
+		s.serveCachedLocked(w, kind, fp, a, t0, root, adm, true)
 		return
 	}
 	s.count(s.mCacheMisses)
@@ -872,8 +885,8 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 	// Re-check the cache too: an identical flight may have completed between
 	// the first check and admission, and starting a fresh simulation for bytes
 	// the cache already holds is wasted work.
-	if b, sk, ok := s.cache.get(fp); ok {
-		s.serveCachedLocked(w, kind, fp, b, sk, t0, root, adm, false)
+	if a, ok := s.memo.Peek(fp); ok {
+		s.serveCachedLocked(w, kind, fp, a, t0, root, adm, false)
 		<-s.slots // return the admission token; no flight was started
 		classRelease()
 		return
@@ -919,24 +932,18 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// awaitFlight is the flight's sole waiter: it resolves the future, caches a
-// success, retires the flight, and completes every attached job.
+// awaitFlight is the flight's sole waiter: it resolves the future (whose
+// success the memo has already kept), retires the flight, and completes
+// every attached job.
 func (s *Server) awaitFlight(fl *flight) {
 	defer s.wg.Done()
-	val, err := fl.fut.Wait()
+	a, err := fl.fut.Wait()
 	resolved := time.Now()
 
 	s.mu.Lock()
-	skip := fl.skip
-	if err == nil {
-		s.cache.add(fl.fp, val, skip)
-	}
 	if s.flights[fl.fp] == fl {
 		delete(s.flights, fl.fp)
 	}
-	// The memo tracks only in-flight work: successes move to the LRU, and
-	// failures already forgot themselves, so this is a no-op there.
-	s.memo.Forget(fl.fp)
 	if fl.span != nil {
 		if err != nil {
 			fl.span.SetAttr("error", err.Error())
@@ -959,11 +966,11 @@ func (s *Server) awaitFlight(fl *flight) {
 	// once a resolved record hits the journal, the bytes it promises are
 	// already durable (write-ahead ordering).
 	if err == nil {
-		s.storePut(fl.fp, val, skip)
+		s.storePut(fl.fp, a)
 	}
 
 	for _, j := range jobs {
-		s.finishJob(j, val, skip, err, resolved)
+		s.finishJob(j, a, err, resolved)
 	}
 }
 
@@ -972,7 +979,7 @@ func (s *Server) awaitFlight(fl *flight) {
 // records the phase-partitioned latency metrics. resolved is the instant the
 // flight's future resolved — the run→respond phase boundary shared by every
 // rider of the flight.
-func (s *Server) finishJob(j *job, val []byte, skip *SkipInfo, err error, resolved time.Time) {
+func (s *Server) finishJob(j *job, a answer, err error, resolved time.Time) {
 	respond := j.span.Child("respond")
 	j.mu.Lock()
 	transitioned := false
@@ -983,8 +990,8 @@ func (s *Server) finishJob(j *job, val []byte, skip *SkipInfo, err error, resolv
 			j.errMsg = err.Error()
 		} else {
 			j.state = StateDone
-			j.result = val
-			j.skip = skip
+			j.result = a.val
+			j.skip = a.skip
 		}
 		for _, ch := range j.subs {
 			close(ch)

@@ -199,9 +199,9 @@ func (s *Server) statsSnapshot() Stats {
 		st.Checkpoint.HitRatio = float64(ck.Hits) / float64(lookups)
 	}
 
+	st.Cache.Entries = s.memo.Len()
 	s.mu.Lock()
 	st.Jobs.Tracked = len(s.jobs)
-	st.Cache.Entries = s.cache.len()
 	s.mu.Unlock()
 
 	s.metricsMu.Lock()
