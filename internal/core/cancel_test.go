@@ -89,3 +89,45 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 		t.Fatalf("progress snapshot inconsistent: %+v", p)
 	}
 }
+
+// Cancellation lands within 1024 cycles plus the longest quiet span: the
+// context is checked at the first landing on or past each 1024-cycle
+// boundary, so a skipping run cannot step over check points. A progress hook
+// firing at every landing cancels past cycle 150 000; the serialized machine
+// skips deepest, so its spans step over the most boundaries.
+func TestRunContextCancelLagBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"default-machine", func() Config { return fastCfg("mcf", "mcf", "mcf", "mcf") }},
+		{"serialized-fetchstall", ckptConfigs()[1].cfg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.WarmupInstr, cfg.TargetInstr = 60_000, 40_000
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var at uint64
+			ob := &obs.Observer{ProgressInterval: 1, Progress: func(now uint64) {
+				if at == 0 && now >= 150_000 {
+					at = now
+					cancel()
+				}
+			}}
+			cfg.Observe = func() *obs.Observer { return ob }
+			s, err := NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("RunContext = %v, want context.Canceled", err)
+			}
+			lag, bound := ob.FinalCycle-at, 1024+s.SkipStats().Longest
+			if lag > bound {
+				t.Fatalf("cancelled at cycle %d, stopped at %d: %d cycles late, bound %d",
+					at, ob.FinalCycle, lag, bound)
+			}
+		})
+	}
+}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
+	"os"
 	"testing"
 
 	"smtdram/internal/cpu"
@@ -135,7 +138,7 @@ func TestCheckpointReencodeByteStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := s.encode(s.resumeAt, s.resumeLC, s.resumeLP)
+			again, err := s.encode()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,12 +149,50 @@ func TestCheckpointReencodeByteStable(t *testing.T) {
 	}
 }
 
+// TestCheckpointGoldenFrame restores a frame committed to testdata, written
+// by the first encoder for fastCfg("mcf") at warmup 5000, and requires the
+// measured Result to match a cold run byte for byte. Old on-disk frames pass
+// the CRC, so a layout change that does not bump ckptVersion would decode
+// them into wrong state; this test fails instead. (A change to the warmup
+// fingerprint rejects the frame as corrupt: regenerate it then.)
+func TestCheckpointGoldenFrame(t *testing.T) {
+	cfg := fastCfg("mcf")
+	cfg.WarmupInstr = 5000
+	f, err := os.Open("testdata/warmup-mcf-5000.ckpt.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunFromCheckpoint(context.Background(), cfg, &Checkpoint{Prefix: cfg.WarmupFingerprint(), Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldJSON, _ := json.Marshal(cold)
+	warmJSON, _ := json.Marshal(warm)
+	if !bytes.Equal(coldJSON, warmJSON) {
+		t.Fatalf("golden frame diverged from cold run\ncold: %s\nwarm: %s", coldJSON, warmJSON)
+	}
+}
+
 // TestCheckpointLockstepRestoredVsCold extends the lockstep oracle to the
-// restore path: a machine decoded from a warmup checkpoint must hold the exact
-// CPU fingerprint of a cold twin ticked plainly to the same cycle, and stay in
-// fingerprint lockstep with it cycle by cycle through the measurement phase.
-// Where the equivalence test compares final Results, this pins down *which
-// cycle* a restore bug first acts at.
+// restore path: a machine decoded from a warmup checkpoint runs the real
+// resume path and the skipping loop, and must hold the exact CPU fingerprint
+// of a cold twin ticked plainly to the warmup boundary, then stay in
+// fingerprint lockstep with it at every landing through the measurement
+// phase. Where the equivalence test compares final Results, this pins down
+// *which cycle* a restore bug first acts at.
 func TestCheckpointLockstepRestoredVsCold(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -175,26 +216,7 @@ func TestCheckpointLockstepRestoredVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := uint64(1); c <= chk.Now; c++ {
-				u.q.RunUntil(c)
-				u.cpu.Tick(c)
-			}
-			if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
-				t.Fatalf("restored state diverges at the warmup boundary (cycle %d)\nrestored: %s\ncold:     %s", chk.Now, a, b)
-			}
-			const extra = 100_000
-			for c := chk.Now + 1; c <= chk.Now+extra; c++ {
-				s.q.RunUntil(c)
-				s.cpu.Tick(c)
-				u.q.RunUntil(c)
-				u.cpu.Tick(c)
-				if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
-					t.Fatalf("diverged at cycle %d (%d past the boundary)\nrestored: %s\ncold:     %s", c, c-chk.Now, a, b)
-				}
-				if s.cpu.AllFinished() {
-					return
-				}
-			}
+			lockstep(t, s, u)
 		})
 	}
 }

@@ -134,16 +134,18 @@ type Simulator struct {
 	fsn  *failSnap
 	skip obs.SkipStats
 
-	// Warmup-checkpoint plumbing (see snapshot.go). pauseArmed makes
-	// RunContext serialize the machine and stop at the warmup boundary;
-	// resumeAt (with the restored watchdog registers) makes it continue a
-	// decoded checkpoint from that same boundary.
-	pauseArmed bool
-	pauseData  []byte
-	pauseNow   uint64
-	resumeAt   uint64
-	resumeLC   uint64
-	resumeLP   uint64
+	// Run-loop registers. now is the last landed cycle; a decoded warmup
+	// checkpoint sets it to the warmup boundary, where RunContext resumes.
+	// committed is cpu.TotalCommitted as of lastCommit, the last landed
+	// cycle it changed at. Nothing commits inside a skipped span, so
+	// lastCommit alone fixes the watchdog's trip cycle (watchdogTrip).
+	now, committed, lastCommit uint64
+	// pause stops RunContext at the warmup boundary with errPaused, leaving
+	// the machine for WarmupCheckpoint to encode.
+	pause bool
+	// onLand, when non-nil, runs at every landed cycle: the lockstep
+	// oracles drive the real loop through it. Nil in production.
+	onLand func(now uint64)
 }
 
 // SkipStats reports how much of the run the two-speed clock fast-forwarded
@@ -353,21 +355,14 @@ func (s *Simulator) Run() (Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the context is checked at
-// the same 1024-cycle boundaries as the progress watchdog, so an abandoned
+// the first landed cycle on or past each 1024-cycle boundary, so an abandoned
 // job (an HTTP client that hung up, a deadline that passed) stops burning CPU
-// within at most one watchdog window plus the current quiet-window jump. A
-// cancelled run returns ctx.Err() after closing its stats and observer
+// within 1024 cycles plus the longest quiet-window jump (SkipStats.Longest).
+// A cancelled run returns ctx.Err() after closing its stats and observer
 // exactly like a watchdog abort, leaving the simulator in a consistent
 // (finished) state.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	limit := s.cfg.maxCycles()
-	wd := s.cfg.WatchdogCycles
-	if wd == 0 {
-		wd = 500_000
-	}
-	watchFail := s.cfg.Faults != nil && s.cfg.Faults.ChannelFail != nil
-	var lastCommitted, lastProgress uint64
-	var now uint64
 	var sn snapshot
 	if s.cfg.WarmupInstr == 0 {
 		sn = s.takeSnapshot(0)
@@ -395,30 +390,173 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			phaseSpan = runSpan.Child("warmup", obs.A("start_cycle", "0"))
 		}
 	}
-	skipping := !s.cfg.DisableClockSkip
-	// Deep skip lets a quiet span pass through event cycles whose work is
-	// internal to the memory system (an MSHR chain hop, a controller
-	// bank-ready retry, a fault-retry backoff expiry) without landing: the
-	// events fire at their exact cycles via the queue's span drain, and the
-	// span ends only when one delivers CPU-visible state — a fill reaching
-	// an L1, a branch resolving — which the caches and CPU report through
-	// the wakeup hint (cpu.TakeWake). Observed and failover-watching runs
-	// take the same path: loop profiling replays sailed-through event cycles
-	// through OnEventCycle and the skipped remainder through OnCycleSkip,
-	// registry sampling is bounded by clamp (sample cycles always land), and
-	// clamp caps any span crossing the planned channel-failure cycle so the
-	// landed failover poll below sees it exactly when a ticked run would.
-	//
-	// obsFrom/obsFired are the observer replay cursor inside the open span:
-	// the last observed cycle and the queue's cumulative event count there.
-	var obsFrom, obsFired uint64
-	// drainStop is the span drain's per-event-cycle callback: it decides
-	// whether the batch at ea delivered CPU-visible state, and keeps the
-	// observer's per-cycle accounting exact either way — the quiet gap
-	// (obsFrom, ea-1] replays as skipped, and a sailed-through ea is
-	// observed as an event cycle. On a wake the cursor stops at ea-1: cycle
-	// ea is observed by whichever path lands on or re-opens across it.
-	drainStop := func(ea uint64) bool {
+	// A run restored from a warmup checkpoint enters at the boundary cycle
+	// s.now, whose events, Tick and checks ran before the pause: only the
+	// warmup transition below remains of that iteration, so the resumed run
+	// executes exactly the instruction stream an uninterrupted one would. The
+	// last commit was at that cycle itself (the last thread crossing
+	// WarmupInstr), which is all the watchdog needs.
+	now := max(s.now, 1)
+	s.committed, s.lastCommit = s.cpu.TotalCommitted, s.now
+	nextCheck := (now>>10 + 1) << 10
+	var err error
+	for ; now <= limit; now++ {
+		if now > s.now {
+			s.now = now
+			s.q.RunUntil(now)
+			s.cpu.Tick(now)
+			if s.obs != nil {
+				s.obs.OnCycle(now, s.q.Fired())
+			}
+			if c := s.cpu.TotalCommitted; c != s.committed {
+				s.committed, s.lastCommit = c, now
+			}
+			// One Err() load per 1024 cycles is noise, and a cancelled run
+			// unwinds through the same close-out as a watchdog abort.
+			if now >= nextCheck {
+				nextCheck = (now>>10 + 1) << 10
+				if err = ctx.Err(); err != nil {
+					break
+				}
+			}
+			// Progress watchdog: a machine that commits nothing for a whole
+			// window is livelocked, not slow — abort with a structured error
+			// instead of burning the remaining MaxCycles budget.
+			if now >= s.watchdogTrip() {
+				err = &NoProgressError{Cycle: now, Window: s.cfg.watchdogCycles(), Committed: s.committed}
+				break
+			}
+			if s.fsn == nil {
+				if _, at := s.ctrl.Failover(); at > 0 {
+					s.fsn = &failSnap{atCycle: now, committed: s.cpu.TotalCommitted,
+						reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
+				}
+			}
+		}
+		if !sn.taken && s.cpu.AllWarmed() {
+			if s.pause {
+				return Result{}, errPaused
+			}
+			s.ctrl.FinishStats(now)
+			sn = s.takeSnapshot(now)
+			if runSpan != nil {
+				endPhase(now)
+				phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(now, 10)))
+			}
+		}
+		if s.onLand != nil {
+			s.onLand(now)
+		}
+		if sn.taken && s.cpu.AllFinished() {
+			break
+		}
+		// A Tick that made real progress almost never sits on the edge of a
+		// quiet window, so the (expensive) quiescence probe waits until a
+		// Tick comes back idle. Pure heuristic: it can only delay a window's
+		// start by a cycle, never skip a cycle the contract would forbid.
+		if !s.cfg.DisableClockSkip && !s.cpu.Acted() {
+			now = s.skipQuiet(now) - 1
+		}
+	}
+	endPhase(now)
+	s.ctrl.FinishStats(now)
+	s.skip.Wall = now
+	if s.obs != nil {
+		s.obs.Skip = s.skip
+		s.obs.Finish(now)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	if !sn.taken {
+		// Timed out during warmup: report whole-run (cold) measurements
+		// rather than an empty window.
+		sn = snapshot{
+			taken:     true,
+			caches:    make([]cache.Stats, 4),
+			committed: make([]uint64, len(s.cfg.Apps)),
+		}
+	}
+	return s.collect(now, sn)
+}
+
+// watchdogTrip is the cycle the progress watchdog aborts at unless something
+// commits first. Its checks fall on 1024-cycle boundaries, and the first
+// boundary at or after the last commit records the progress, so the trip is
+// the first boundary a whole window past that one.
+func (s *Simulator) watchdogTrip() uint64 {
+	return ceil1024(ceil1024(s.lastCommit) + s.cfg.watchdogCycles())
+}
+
+func ceil1024(x uint64) uint64 { return (x + 1023) &^ 1023 }
+
+// landBound caps a quiet span the CPU would end at next. Every per-cycle duty
+// of the loop that a span cannot replay forces a landing: the watchdog's trip
+// cycle, the observer's next sample cycle, a still-pending planned channel
+// failure (the failover snapshot is taken by landed polling), and the end of
+// the cycle budget.
+func (s *Simulator) landBound(next uint64) uint64 {
+	b := min(next, s.watchdogTrip(), s.cfg.maxCycles()+1)
+	if s.obs != nil {
+		if nb := s.obs.NextBoundary(); nb > 0 {
+			b = min(b, nb)
+		}
+	}
+	if fa, ok := s.ctrl.PlannedFailAt(); ok {
+		b = min(b, fa)
+	}
+	return b
+}
+
+// skipQuiet is the two-speed clock (DESIGN §11). Called at a landed cycle
+// whose Tick did nothing, it fast-forwards across the quiet window that
+// follows and returns the next cycle to land on (now+1 when there is no
+// window). The skipped cycles' per-cycle bookkeeping is replayed in
+// aggregate (cycle counters, gated-dispatch accounting, loop profiling), and
+// every duty it cannot replay bounds the window through landBound, so a
+// skipped run is byte-identical to an unskipped one.
+//
+// One fused probe per side yields the skip bound and the replay terms,
+// captured before any in-window event can mutate the state they derive from.
+// In-window events fire at their exact cycles through the queue's span drain.
+// A memory-internal event (an MSHR chain hop, a controller bank-ready retry,
+// a fault-retry backoff expiry) changes neither the CPU nor the L1s, so the
+// span sails straight through it. An event that delivers CPU-visible state —
+// a fill reaching an L1, a branch resolving, reported through cpu.TakeWake —
+// closes the current sub-span, but the span only ends there if the CPU
+// actually has work at that cycle: a fill that matures a mid-ROB entry with
+// no ready dependents leaves the machine just as idle, so the span re-opens
+// from the post-event state, which is exactly what a ticked run's subsequent
+// idle cycles would see.
+func (s *Simulator) skipQuiet(now uint64) uint64 {
+	cpuNext, fx, quiet := s.cpu.ProbeQuiet(now)
+	if !quiet || cpuNext <= now+1 {
+		return now + 1
+	}
+	if cpuNext == ^uint64(0) {
+		// Only a memory-side event can unblock the CPU. The controller's
+		// mirror probe guarantees a non-quiet controller has its next
+		// interaction covered by a pending event, so an empty queue facing
+		// a non-quiet controller is a lost wakeup — a bug, but one that must
+		// deadlock identically in both modes, so step instead of skipping.
+		if _, qok := s.q.NextAt(); !qok {
+			if _, mquiet := s.ctrl.ProbeQuiet(now); !mquiet {
+				return now + 1
+			}
+		}
+	}
+	land := s.landBound(cpuNext)
+	if land <= now+1 {
+		return now + 1
+	}
+	s.cpu.TakeWake() // events up to now already informed this Tick
+	// The observer replay cursor: the last observed cycle and the queue's
+	// cumulative event count there. The quiet gap (obsFrom, ea-1] replays
+	// as skipped and a sailed-through event cycle ea is observed as one; on
+	// a wake the cursor stops at ea-1, and cycle ea is observed by whichever
+	// path lands on or re-opens across it.
+	from, obsFrom, obsFired := now, now, s.q.Fired()
+	stop := func(ea uint64) bool {
 		woke := s.cpu.TakeWake()
 		if s.obs != nil {
 			s.obs.OnCycleSkip(obsFrom, ea-1, obsFired)
@@ -432,243 +570,38 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		}
 		return woke
 	}
-	// clamp bounds a quiet jump from cycle n: the watchdog's 1024-cycle
-	// boundaries are emulated (inside a quiet window nothing commits, so the
-	// first skipped boundary would record any progress made since the last
-	// check, and the check trips at the first boundary a full watchdog window
-	// past lastProgress — replicate the recording and land on the trip
-	// boundary, where the landed check fires exactly as the baseline's
-	// would), observer sample boundaries force a landing, a still-pending
-	// planned channel failure forces a landing on its cycle (the failover
-	// snapshot is taken by landed polling), and the jump never exits the
-	// cycle budget.
-	clamp := func(n, target uint64) uint64 {
-		if c := s.cpu.TotalCommitted; c != lastCommitted {
-			if b0 := (n>>10 + 1) << 10; target > b0 {
-				lastCommitted, lastProgress = c, b0
-			}
-		}
-		if s.cpu.TotalCommitted == lastCommitted {
-			if trip := (lastProgress + wd + 1023) >> 10 << 10; trip < target {
-				target = trip
-			}
-		}
-		if s.obs != nil {
-			if b := s.obs.NextBoundary(); b > 0 && b < target {
-				target = b
-			}
-		}
-		if watchFail && s.fsn == nil {
-			if fa, ok := s.ctrl.PlannedFailAt(); ok && fa < target {
-				target = fa
-			}
-		}
-		if target > limit+1 {
-			target = limit + 1
-		}
-		return target
-	}
-	// Warmup-checkpoint restore: the checkpoint was taken at the warmup
-	// boundary, after its cycle's events and Tick but before the warmup
-	// transition, so the resumed loop enters at that cycle and performs only
-	// the remainder of its iteration (guarded below) before continuing
-	// normally — landing on the exact instruction stream an uninterrupted run
-	// would execute.
-	resumed := s.resumeAt > 0
-	startAt := uint64(1)
-	if resumed {
-		startAt = s.resumeAt
-		lastCommitted, lastProgress = s.resumeLC, s.resumeLP
-	}
-	for now = startAt; now <= limit; now++ {
-		if resumed {
-			resumed = false
-			s.ctrl.FinishStats(now)
-			sn = s.takeSnapshot(now)
-			if runSpan != nil {
-				endPhase(now)
-				phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(now, 10)))
-			}
-		} else {
-			s.q.RunUntil(now)
-			s.cpu.Tick(now)
-			if s.obs != nil {
-				s.obs.OnCycle(now, s.q.Fired())
-			}
-			// Progress watchdog: a machine that commits nothing for wd cycles
-			// is livelocked, not slow — abort with a structured error instead
-			// of burning the remaining MaxCycles budget. Cancellation shares
-			// the boundary: one Err() load per 1024 cycles is noise, and a
-			// cancelled run unwinds through the same stats/observer close-out
-			// as an abort.
-			if now&1023 == 0 {
-				if err := ctx.Err(); err != nil {
-					endPhase(now)
-					s.ctrl.FinishStats(now)
-					s.skip.Wall = now
-					if s.obs != nil {
-						s.obs.Skip = s.skip
-						s.obs.Finish(now)
-					}
-					return Result{}, err
-				}
-				if c := s.cpu.TotalCommitted; c != lastCommitted {
-					lastCommitted, lastProgress = c, now
-				} else if now-lastProgress >= wd {
-					endPhase(now)
-					s.ctrl.FinishStats(now)
-					s.skip.Wall = now
-					if s.obs != nil {
-						s.obs.Skip = s.skip
-						s.obs.Finish(now)
-					}
-					return Result{}, &NoProgressError{Cycle: now, Window: wd, Committed: c}
-				}
-			}
-			if watchFail && s.fsn == nil {
-				if _, at := s.ctrl.Failover(); at > 0 {
-					s.fsn = &failSnap{atCycle: now, committed: s.cpu.TotalCommitted,
-						reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
-				}
-			}
-			if !sn.taken && s.cpu.AllWarmed() {
-				if s.pauseArmed {
-					// Armed warmup checkpoint: freeze the machine exactly here
-					// — before the transition work the resumed run replays —
-					// and hand the frame back through the pause fields.
-					s.pauseArmed = false
-					data, err := s.encode(now, lastCommitted, lastProgress)
-					if err != nil {
-						return Result{}, err
-					}
-					s.pauseData, s.pauseNow = data, now
-					return Result{}, errPaused
-				}
-				s.ctrl.FinishStats(now)
-				sn = s.takeSnapshot(now)
-				if runSpan != nil {
-					endPhase(now)
-					phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(now, 10)))
-				}
-			}
-		}
-		if sn.taken && s.cpu.AllFinished() {
+	for {
+		ea, woke := s.q.DrainQuiet(land, stop)
+		if !woke {
 			break
 		}
-		if !skipping {
-			continue
+		s.cpu.ApplyQuiet(fx, ea-1-from)
+		from = ea - 1
+		next, nfx, q := s.cpu.ProbeQuiet(from)
+		if !q || next <= ea {
+			land = ea // Tick(ea) has real work: land on it
+			break
 		}
-
-		// Two-speed clock (DESIGN §11): when neither the event queue nor the
-		// CPU can do anything before some future cycle, replace the
-		// intervening Ticks with their aggregate bookkeeping and land the
-		// loop directly on that cycle. Every per-cycle duty above is either
-		// replayed in aggregate (cycle counters, gated-dispatch accounting,
-		// loop profiling) or provably inert across a quiet window (warmup,
-		// finish, and failover transitions all require landed work), and the
-		// watchdog's 1024-cycle boundaries are emulated below — so a skipped
-		// run is byte-identical to an unskipped one.
-		if s.cpu.Acted() {
-			// The Tick above made real progress, so the machine is almost
-			// never on the edge of a quiet window — defer the (expensive)
-			// quiescence probe until a Tick comes back idle. Pure heuristic:
-			// it can only delay a window's start by a cycle, never skip a
-			// cycle the contract would forbid.
-			continue
-		}
-		// One fused probe per side yields the skip bound and the replay
-		// terms, captured before any in-window event can mutate the state
-		// they are derived from. The event queue is not consulted up front —
-		// in-span events are handled by DrainQuiet, at their exact cycles. A
-		// memory-internal event (an MSHR chain hop, a controller retry
-		// timer) changes neither the CPU nor the L1s, so the span sails
-		// straight through it. An event that does deliver CPU-visible state
-		// closes the current sub-span — but the span only ends there if the
-		// CPU actually has work at that cycle: a fill that matures a mid-ROB
-		// entry with no ready dependents leaves the machine just as idle, so
-		// the span re-opens from the post-event state, which is exactly what
-		// a ticked run's subsequent idle cycles would see.
-		cpuNext, fx, quiet := s.cpu.ProbeQuiet(now)
-		if !quiet || cpuNext <= now+1 {
-			continue
-		}
-		if cpuNext == ^uint64(0) {
-			// Only a memory-side event can unblock the CPU. The controller's
-			// mirror probe guarantees a non-quiet controller has its next
-			// interaction covered by a pending event, so an empty queue
-			// facing a non-quiet controller is a lost wakeup — a bug, but
-			// one that must deadlock identically in both modes, so step
-			// instead of skipping over it.
-			if _, qok := s.q.NextAt(); !qok {
-				if _, mquiet := s.ctrl.ProbeQuiet(now); !mquiet {
-					continue
-				}
-			}
-		}
-		target := clamp(now, cpuNext)
-		if target <= now+1 {
-			continue
-		}
-		from := now
-		var total uint64
-		s.cpu.TakeWake() // events up to now already informed this Tick
-		obsFrom, obsFired = now, s.q.Fired()
-		land := target
-		for {
-			ea, woke := s.q.DrainQuiet(land, drainStop)
-			if !woke {
-				break
-			}
-			total += ea - 1 - from
-			s.cpu.ApplyQuiet(fx, ea-1-from)
-			from = ea - 1
-			next, nfx, q := s.cpu.ProbeQuiet(from)
-			if !q || next <= ea {
-				land = ea // Tick(ea) has real work: land on it
-				break
-			}
-			fx = nfx
-			if s.obs != nil {
-				obsFired = s.q.Fired()
-				s.obs.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-			land = clamp(from, next)
-			if land <= ea {
-				land = ea + 1 // defensive: next > ea keeps this exact
-			}
-		}
-		total += land - 1 - from
-		s.cpu.ApplyQuiet(fx, land-1-from)
+		fx = nfx
 		if s.obs != nil {
-			s.obs.OnCycleSkip(obsFrom, land-1, obsFired)
+			obsFired = s.q.Fired()
+			s.obs.OnEventCycle(ea, obsFired)
+			obsFrom = ea
 		}
-		// Settle the controller's span-aggregated accounting at the landing:
-		// the time-weighted concurrency histograms advance through the span
-		// in one exact step instead of lagging until the next state change.
-		s.ctrl.ApplyQuiet(land - 1)
-		if total > 0 {
-			s.recordSkip(total)
-		}
-		now = land - 1
+		land = max(s.landBound(next), ea+1) // defensive: next > ea keeps this exact
 	}
-	if !sn.taken {
-		// Timed out during warmup: report whole-run (cold) measurements
-		// rather than an empty window.
-		sn = snapshot{
-			taken:     true,
-			caches:    make([]cache.Stats, 4),
-			committed: make([]uint64, len(s.cfg.Apps)),
-		}
-	}
-	endPhase(now)
-	s.ctrl.FinishStats(now)
-	s.skip.Wall = now
+	s.cpu.ApplyQuiet(fx, land-1-from)
 	if s.obs != nil {
-		s.obs.Skip = s.skip
-		s.obs.Finish(now)
+		s.obs.OnCycleSkip(obsFrom, land-1, obsFired)
 	}
-	return s.collect(now, sn)
+	// Settle the controller's span-aggregated accounting at the landing: the
+	// time-weighted concurrency histograms advance through the span in one
+	// exact step instead of lagging until the next state change.
+	s.ctrl.ApplyQuiet(land - 1)
+	if k := land - 1 - now; k > 0 {
+		s.recordSkip(k) // one super-span, one segment
+	}
+	return land
 }
 
 func (s *Simulator) collect(now uint64, sn snapshot) (Result, error) {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"context"
 	"testing"
 
 	"smtdram/internal/cpu"
@@ -12,24 +13,26 @@ import (
 )
 
 // TestSkipLockstepDeep is the strong oracle for the deep-skip protocol: it
-// drives one machine with the exact span-drain sequence the run loop uses
-// (ProbeQuiet, DrainQuiet sail-through, wake, re-probe) and a twin with plain
-// per-cycle Ticks, comparing the full observable CPU fingerprint at every
-// landed cycle — and, stricter, asserting the twin's fingerprint never moves
-// during a cycle the protocol skipped. The end-to-end equivalence tests in
-// skip_test.go compare final Results; this test pins down *which cycle* a
-// divergence first appears at, and is the only one that can catch a
-// multi-cycle optimism bug (a probe bound that is too far out) whose damage
-// happens mid-window. The one-cycle oracle in the cpu package
+// runs one machine through the real run loop (RunContext, skipping on) and,
+// from the loop's per-landing hook, catches a twin up with plain per-cycle
+// Ticks, comparing the full observable CPU fingerprint at every landed cycle
+// — and, stricter, asserting the twin's fingerprint never moves during a
+// cycle the loop skipped. The end-to-end equivalence tests in skip_test.go
+// compare final Results; this test pins down *which cycle* a divergence
+// first appears at, and is the only one that can catch a multi-cycle
+// optimism bug (a probe bound that is too far out) whose damage happens
+// mid-window. The one-cycle oracle in the cpu package
 // (TestNextWorkAtPredictsQuietCycles) structurally cannot.
 //
-// The observed variant attaches a loop profiler to both machines and replays
-// it exactly as the run loop would (OnCycle on landed cycles, OnEventCycle on
-// sailed-through event cycles, OnCycleSkip on quiet gaps), asserting the
-// replayed profile is identical to the ticked twin's per-cycle one. The
-// seeded-fault variant routes retry backoff timers and ECC scrubbing through
-// the span drain, where a deadline the controller probe failed to report
-// would surface as a lockstep divergence at its exact cycle.
+// The observed variant attaches a loop profiler to both machines and asserts
+// the loop's replayed profile (OnCycle on landed cycles, OnEventCycle on
+// sailed-through event cycles, OnCycleSkip on quiet gaps) is identical to the
+// ticked twin's per-cycle one. The sampled variant attaches a metrics
+// registry, so every sample cycle must be a landing (NextBoundary) and the
+// two exports must match byte for byte. The seeded-fault variant routes retry
+// backoff timers and ECC scrubbing through the span drain, where a deadline
+// the controller probe failed to report would surface as a lockstep
+// divergence at its exact cycle.
 func TestSkipLockstepDeep(t *testing.T) {
 	base := func() Config {
 		cfg := fastCfg("mcf", "ammp", "swim", "lucas")
@@ -66,204 +69,126 @@ func TestSkipLockstepDeep(t *testing.T) {
 		return cfg
 	}
 	for _, tc := range []struct {
-		name     string
-		cfg      func() Config
-		observed bool
+		name string
+		cfg  func() Config
+		opts obs.Options
 	}{
-		{"default-mix", base, false},
-		{"serialized-fetchstall", serialized, false},
-		{"seeded-faults", faulty, false},
-		{"observed-default-mix", base, true},
+		{"default-mix", base, obs.Options{}},
+		{"serialized-fetchstall", serialized, obs.Options{}},
+		{"seeded-faults", faulty, obs.Options{}},
+		{"observed-default-mix", base, obs.Options{Profile: true}},
+		{"sampled-default-mix", base, obs.Options{Metrics: true, MetricsInterval: 500}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lockstepDeep(t, tc.cfg, tc.observed)
+			mk := func() *Simulator {
+				cfg := tc.cfg()
+				if ob := obs.New(tc.opts); ob != nil {
+					cfg.Observe = func() *obs.Observer { return ob }
+				}
+				s, err := NewSimulator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			lockstep(t, mk(), mk())
 		})
 	}
 }
 
-func lockstepDeep(t *testing.T, mkCfg func() Config, observed bool) {
-	mk := func() *Simulator {
-		s, err := NewSimulator(mkCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+// lockstep runs s through RunContext with skipping on and keeps u, an unrun
+// machine of the same configuration, in step with it by plain per-cycle
+// Ticks from the loop's per-landing hook. s may be restored from a warmup
+// checkpoint: its first landing is then the boundary, and the twin ticks
+// plainly up to it before the comparison starts.
+func lockstep(t *testing.T, s, u *Simulator) {
+	t.Helper()
+	sob, uob := s.obs, u.obs
+	var uNow uint64
+	// The most recent landings, logged on failure so the offending span is
+	// visible without re-instrumenting.
+	var recent []uint64
+	fail := func(f string, a ...any) {
+		t.Helper()
+		t.Logf("recent landings: %v", recent)
+		t.Fatalf(f, a...)
 	}
-	s, u := mk(), mk()
-
-	// The observed variant profiles both machines: the skipping one through
-	// the replay protocol, the ticked twin through the plain per-cycle hook.
-	var sob, uob *obs.Observer
-	if observed {
-		sob = obs.New(obs.Options{Profile: true})
-		uob = obs.New(obs.Options{Profile: true})
-	}
-
-	// A short ring of recent protocol decisions, dumped on failure so the
-	// offending span is visible without re-instrumenting.
-	var decisions []string
-	logd := func(f string, a ...any) {
-		decisions = append(decisions, fmt.Sprintf(f, a...))
-		if len(decisions) > 12 {
-			decisions = decisions[1:]
-		}
-	}
-
-	// The span drain's stop callback, mirroring Simulator.Run's drainStop:
-	// wake decision plus exact observer replay bookkeeping.
-	var obsFrom, obsFired uint64
-	drainStop := func(ea uint64) bool {
-		woke := s.cpu.TakeWake()
-		if sob != nil {
-			sob.OnCycleSkip(obsFrom, ea-1, obsFired)
-			if woke {
-				obsFrom = ea - 1
-			} else {
-				obsFired = s.q.Fired()
-				sob.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-		}
-		return woke
-	}
-
-	const limit = 400_000
-	uNow := uint64(0)
-	var now uint64
-	for now = 1; now <= limit; now++ {
-		s.q.RunUntil(now)
-		s.cpu.Tick(now)
-		if sob != nil {
-			sob.OnCycle(now, s.q.Fired())
-		}
-		for uNow < now {
-			uNow++
-			u.q.RunUntil(uNow)
-			pre := u.cpu.Fingerprint()
-			u.cpu.Tick(uNow)
-			if uob != nil {
-				uob.OnCycle(uNow, u.q.Fired())
-			}
-			if uNow != now {
-				if post := u.cpu.Fingerprint(); post != pre {
-					for _, d := range decisions {
-						t.Log(d)
-					}
-					t.Fatalf("twin acted at skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
-				}
-			}
-		}
-		a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint()
-		if a != b {
-			for _, d := range decisions {
-				t.Log(d)
-			}
-			t.Fatalf("diverged at landed cycle %d\nskip: %s\ntick: %s", now, a, b)
-		}
-		if s.cpu.AllFinished() {
-			break
-		}
-		// The controller probe's soundness invariant, asserted at every
-		// landed cycle: a non-quiet controller always has a finite next
-		// deadline, and that deadline is covered by a pending event — this
-		// is what makes the run loop's empty-queue lost-wakeup guard sound.
-		if mn, mq := s.ctrl.ProbeQuiet(now); !mq {
-			if mn == ^uint64(0) {
-				t.Fatalf("cycle %d: controller non-quiet with no finite deadline", now)
-			}
-			if _, qok := s.q.NextAt(); !qok {
-				t.Fatalf("cycle %d: controller non-quiet with an empty event queue", now)
-			}
-		}
-		if s.cpu.Acted() {
-			continue
-		}
-		// Deep sub-span re-probe, mirroring Simulator.Run (no watchdog or
-		// sample-boundary clamps here; the cycle limit stands in for the
-		// budget).
-		cpuNext, fx, quiet := s.cpu.ProbeQuiet(now)
-		if !quiet || cpuNext <= now+1 {
-			continue
-		}
-		if cpuNext == ^uint64(0) {
-			if _, qok := s.q.NextAt(); !qok {
-				if _, mquiet := s.ctrl.ProbeQuiet(now); !mquiet {
-					continue
-				}
-			}
-		}
-		target := cpuNext
-		if target > limit+1 {
-			target = limit + 1
-		}
-		if target <= now+1 {
-			continue
-		}
-		from := now
-		s.cpu.TakeWake()
-		obsFrom, obsFired = now, s.q.Fired()
-		land := target
-		logd("span open now=%d cpuNext=%d", now, cpuNext)
-		for {
-			ea, woke := s.q.DrainQuiet(land, drainStop)
-			if !woke {
-				break
-			}
-			s.cpu.ApplyQuiet(fx, ea-1-from)
-			from = ea - 1
-			next, nfx, q := s.cpu.ProbeQuiet(from)
-			if !q || next <= ea {
-				land = ea
-				logd("  wake ea=%d -> land", ea)
-				break
-			}
-			fx = nfx
-			if sob != nil {
-				obsFired = s.q.Fired()
-				sob.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-			land = next
-			if land > limit+1 {
-				land = limit + 1
-			}
-			if land <= ea {
-				land = ea + 1
-			}
-			logd("  wake ea=%d next=%d reopen land=%d", ea, next, land)
-		}
-		s.cpu.ApplyQuiet(fx, land-1-from)
-		if sob != nil {
-			sob.OnCycleSkip(obsFrom, land-1, obsFired)
-		}
-		s.ctrl.ApplyQuiet(land - 1)
-		now = land - 1
-	}
-
-	// A final span may fast-forward right up to the cycle limit, exiting the
-	// loop with the ticked twin still behind: the skipping machine replayed
-	// those cycles in aggregate, so catch the twin up through the same window
-	// (asserting it stays inert there too) before the closing comparison.
-	if now > limit {
-		now = limit
-	}
-	for uNow < now {
-		uNow++
-		u.q.RunUntil(uNow)
-		pre := u.cpu.Fingerprint()
+	tick := func() {
 		u.cpu.Tick(uNow)
 		if uob != nil {
 			uob.OnCycle(uNow, u.q.Fired())
 		}
-		if post := u.cpu.Fingerprint(); post != pre {
-			t.Fatalf("twin acted at final skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
+	}
+	// catchUp ticks the twin to cycle to. With skipped set, every cycle
+	// before to was fast-forwarded by s, so the twin must neither act nor
+	// take a registry sample there.
+	catchUp := func(to uint64, skipped bool) {
+		// pre is the twin's state before each Tick. Only an event can move
+		// it between Ticks, so it is recomputed only when one fired.
+		pre := u.cpu.Fingerprint()
+		for uNow < to {
+			uNow++
+			fired := u.q.Fired()
+			u.q.RunUntil(uNow)
+			if !skipped || uNow == to {
+				tick()
+				continue
+			}
+			if uob != nil && uob.NextBoundary() == uNow {
+				fail("sample cycle %d was skipped", uNow)
+			}
+			if u.q.Fired() != fired {
+				pre = u.cpu.Fingerprint()
+			}
+			tick()
+			if post := u.cpu.Fingerprint(); post != pre {
+				fail("twin acted at skipped cycle %d\npre:  %+v\npost: %+v", uNow, pre, post)
+			}
 		}
 	}
-	if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
-		t.Fatalf("diverged at final cycle %d\nskip: %s\ntick: %s", now, a, b)
+	first := true
+	s.onLand = func(now uint64) {
+		catchUp(now, !first)
+		first = false
+		if recent = append(recent, now); len(recent) > 12 {
+			recent = recent[1:]
+		}
+		if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
+			fail("diverged at landed cycle %d\nskip: %+v\ntick: %+v", now, a, b)
+		}
+		// The controller probe's soundness invariant: a non-quiet controller
+		// always has a finite next deadline, and that deadline is covered by
+		// a pending event — this is what makes the run loop's empty-queue
+		// lost-wakeup guard sound.
+		if mn, mq := s.ctrl.ProbeQuiet(now); !mq {
+			if mn == ^uint64(0) {
+				fail("cycle %d: controller non-quiet with no finite deadline", now)
+			}
+			if _, qok := s.q.NextAt(); !qok {
+				fail("cycle %d: controller non-quiet with an empty event queue", now)
+			}
+		}
+	}
+	if _, err := s.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.skip.Skipped == 0 {
+		t.Fatal("lockstep run skipped no cycles")
 	}
 
-	if observed {
+	// A final span may fast-forward to the cycle budget with no landing
+	// after it: catch the twin up through it before the closing comparison.
+	end := min(s.skip.Wall, s.cfg.maxCycles())
+	catchUp(end, true)
+	if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
+		fail("diverged at final cycle %d\nskip: %+v\ntick: %+v", end, a, b)
+	}
+
+	if uob == nil {
+		return
+	}
+	uob.Finish(sob.FinalCycle)
+	if sob.Prof != nil {
 		// The replayed profile must be indistinguishable from the ticked
 		// twin's: same cycle count, same events-per-cycle distribution.
 		if sc, uc := sob.Prof.Cycles(), uob.Prof.Cycles(); sc != uc {
@@ -274,6 +199,21 @@ func lockstepDeep(t *testing.T, mkCfg func() Config, observed bool) {
 		}
 		if sob.Prof.Hist.Count() == 0 {
 			t.Fatal("observed lockstep profiled nothing")
+		}
+	}
+	if sob.Reg != nil {
+		var a, b bytes.Buffer
+		if err := sob.Reg.WriteJSONL(&a, "lockstep", sob.FinalCycle); err != nil {
+			t.Fatal(err)
+		}
+		if err := uob.Reg.WriteJSONL(&b, "lockstep", uob.FinalCycle); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("metrics exports diverge between the loop and its ticked twin")
+		}
+		if cycles, _, _ := sob.Reg.Series("event.pending"); len(cycles) == 0 {
+			t.Fatal("sampled lockstep took no samples")
 		}
 	}
 }

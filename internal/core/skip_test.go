@@ -11,6 +11,7 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
+	"smtdram/internal/workload"
 )
 
 // runBothSpeeds executes the same configuration with the two-speed clock
@@ -228,26 +229,73 @@ func TestSkipStatsUnchangedByObserver(t *testing.T) {
 }
 
 // The watchdog must trip at exactly the same cycle whether the livelocked
-// window was ticked through or fast-forwarded: its 1024-cycle check
-// boundaries are emulated, not approximated.
+// window was ticked through or fast-forwarded, and that cycle follows from
+// the last commit alone: the first 1024-cycle check at or after it records
+// the progress, and the trip is the first check a whole window past that.
+// One machine never commits (the trip follows from cycle 0); the other
+// commits a dependence chain across several check boundaries first.
 func TestSkipWatchdogEquivalence(t *testing.T) {
-	trip := func(disable bool) *NoProgressError {
+	const wd = 20_000
+	trip := func(src cpu.Source, disable bool) (npe *NoProgressError, lastAt uint64) {
 		cfg := fastCfg("stuck")
-		cfg.Sources = []cpu.Source{stuckSource{}}
+		cfg.Sources = []cpu.Source{src}
 		cfg.MaxCycles = 50_000_000
-		cfg.WatchdogCycles = 20_000
+		cfg.WatchdogCycles = wd
 		cfg.DisableClockSkip = disable
-		_, err := Run(cfg)
-		var npe *NoProgressError
+		// Commits happen only on landed cycles, which a per-landing progress
+		// hook sees in both modes.
+		var s *Simulator
+		var last uint64
+		ob := &obs.Observer{ProgressInterval: 1, Progress: func(now uint64) {
+			if c := s.cpu.TotalCommitted; c != last {
+				last, lastAt = c, now
+			}
+		}}
+		cfg.Observe = func() *obs.Observer { return ob }
+		s, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run()
 		if !errors.As(err, &npe) {
 			t.Fatalf("livelocked run returned %v, want *NoProgressError", err)
 		}
-		return npe
+		return npe, lastAt
 	}
-	skip, tick := trip(false), trip(true)
-	if *skip != *tick {
-		t.Fatalf("watchdog diverges between clock speeds: skip=%+v tick=%+v", skip, tick)
+	for _, tc := range []struct {
+		name      string
+		src       func() cpu.Source
+		committed uint64
+	}{
+		{"never-commits", func() cpu.Source { return stuckSource{} }, 0},
+		{"commits-then-stalls", func() cpu.Source { return &stallAfter{n: 3000} }, 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			skip, skipAt := trip(tc.src(), false)
+			tick, tickAt := trip(tc.src(), true)
+			if *skip != *tick || skipAt != tickAt {
+				t.Fatalf("watchdog diverges between clock speeds: skip=%+v (last commit %d) tick=%+v (last commit %d)",
+					skip, skipAt, tick, tickAt)
+			}
+			ceil := func(x uint64) uint64 { return (x + 1023) / 1024 * 1024 }
+			if want := ceil(ceil(tickAt) + wd); tick.Cycle != want || tick.Committed != tc.committed {
+				t.Fatalf("watchdog = %+v after last commit at %d, want cycle %d with %d committed",
+					tick, tickAt, want, tc.committed)
+			}
+		})
 	}
+}
+
+// stallAfter commits a chain of n three-cycle integer ops, then livelocks
+// like stuckSource.
+type stallAfter struct{ n int }
+
+func (s *stallAfter) Next() workload.Instr {
+	if s.n == 0 {
+		return stuckSource{}.Next()
+	}
+	s.n--
+	return workload.Instr{Kind: workload.IntOp, Lat: 3, Dep1: 1}
 }
 
 // Higher-level drivers (figure sweeps, weighted speedup) must also be

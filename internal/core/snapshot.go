@@ -71,11 +71,15 @@ func WarmupCheckpoint(ctx context.Context, cfg Config) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.pauseArmed = true
+	s.pause = true
 	_, err = s.RunContext(ctx)
 	switch {
 	case errors.Is(err, errPaused):
-		return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.pauseNow, Data: s.pauseData}, nil
+		data, err := s.encode()
+		if err != nil {
+			return nil, err
+		}
+		return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.now, Data: data}, nil
 	case err != nil:
 		return nil, err
 	default:
@@ -110,15 +114,18 @@ func RunFromCheckpoint(ctx context.Context, cfg Config, chk *Checkpoint) (Result
 	return s.RunContext(ctx)
 }
 
-// encode serializes the full machine plus the run-loop registers that survive
-// the pause (cycle position, watchdog progress state, skip accounting).
-func (s *Simulator) encode(now, lastCommitted, lastProgress uint64) ([]byte, error) {
+// encode serializes the full machine paused at its warmup boundary, plus the
+// run-loop state that survives the pause: the cycle and the skip accounting.
+// The two words after the cycle held watchdog registers in the first layout;
+// the loop now derives those from the cycle, so they are written as zero and
+// skipped on restore, and frames of either kind decode alike.
+func (s *Simulator) encode() ([]byte, error) {
 	w := &snap.Writer{}
 	w.Marker(sectionSim)
 	w.String(s.cfg.WarmupFingerprint())
-	w.U64(now)
-	w.U64(lastCommitted)
-	w.U64(lastProgress)
+	w.U64(s.now)
+	w.U64(0)
+	w.U64(0)
 	w.U64(s.skip.Skipped)
 	w.U64(s.skip.Segments)
 	w.U64(s.skip.Longest)
@@ -162,8 +169,8 @@ func (s *Simulator) decode(data []byte) error {
 	r.Expect(sectionSim)
 	prefix := r.String()
 	now := r.U64()
-	lastCommitted := r.U64()
-	lastProgress := r.U64()
+	r.U64() // former watchdog registers (see encode)
+	r.U64()
 	skipped, segments, longest := r.U64(), r.U64(), r.U64()
 	if err := r.Err(); err != nil {
 		return err
@@ -209,7 +216,7 @@ func (s *Simulator) decode(data []byte) error {
 	}
 	s.mb.FinishRestore()
 	s.skip = obs.SkipStats{Skipped: skipped, Segments: segments, Longest: longest}
-	s.resumeAt, s.resumeLC, s.resumeLP = now, lastCommitted, lastProgress
+	s.now = now
 	return nil
 }
 

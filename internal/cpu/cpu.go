@@ -199,13 +199,32 @@ func (t *thread) hasL2Miss(now uint64, cfg Config) bool {
 func (t *thread) oldestLoadAge(now uint64) uint64 {
 	for len(t.inFlight) > 0 {
 		u := t.inFlight[0]
-		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
+		if !u.liveLoad(now) {
 			t.inFlight = t.inFlight[1:]
 			continue
 		}
 		return now - u.issuedAt
 	}
 	return 0
+}
+
+// liveLoads counts the thread's loads still in flight at now. Matured entries
+// leave inFlight lazily, only when oldestLoadAge reaches them, so its length
+// depends on which earlier cycles were ticked; this count does not.
+func (t *thread) liveLoads(now uint64) int {
+	n := 0
+	for _, u := range t.inFlight {
+		if u.liveLoad(now) {
+			n++
+		}
+	}
+	return n
+}
+
+// liveLoad reports whether an inFlight entry is a load still outstanding at
+// now; entries failing it are matured and wait to be popped.
+func (u *uop) liveLoad(now uint64) bool {
+	return u.in.Kind == workload.Load && u.state != stDone && !(u.state == stIssued && u.doneAt <= now)
 }
 
 // next peeks the next instruction to fetch without consuming it. The peeked
@@ -428,6 +447,11 @@ type Source interface {
 	Next() workload.Instr
 }
 
+// maxThreads bounds the SMT contexts: QuietFx tracks gated dispatch in a
+// 64-bit mask. Table 1's SMT contexts number at most 8, so the bound costs
+// nothing real.
+const maxThreads = 64
+
 // New assembles a CPU over the given per-thread instruction sources and L1
 // caches.
 func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU, error) {
@@ -437,10 +461,8 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("cpu: no threads")
 	}
-	if len(gens) > 64 {
-		// QuietFx tracks gated dispatch in a 64-bit mask; Table 1's SMT
-		// contexts number at most 8, so the bound costs nothing real.
-		return nil, fmt.Errorf("cpu: %d threads exceeds the 64-context limit", len(gens))
+	if len(gens) > maxThreads {
+		return nil, fmt.Errorf("cpu: %d threads exceeds the %d-context limit", len(gens), maxThreads)
 	}
 	c := &CPU{
 		cfg: cfg, q: q, l1i: l1i, l1d: l1d,
@@ -503,7 +525,7 @@ func (c *CPU) RegisterMetrics(reg *obs.Registry) {
 	for i, t := range c.threads {
 		t := t
 		reg.Sampled(fmt.Sprintf("cpu.inflight_loads.t%d", i),
-			func(uint64) float64 { return float64(len(t.inFlight)) })
+			func(now uint64) float64 { return float64(t.liveLoads(now)) })
 		reg.Sampled(fmt.Sprintf("cpu.rob.t%d", i),
 			func(uint64) float64 { return float64(t.robCount()) })
 		reg.Gauge(fmt.Sprintf("cpu.gated_dispatch.t%d", i),

@@ -1,11 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-	"strings"
-
-	"smtdram/internal/workload"
-)
+import "smtdram/internal/workload"
 
 // This file is the CPU half of the two-speed simulation clock (DESIGN §11).
 // NextWorkAt answers "when could Tick next do anything", and AdvanceQuiet
@@ -291,10 +286,9 @@ func (c *CPU) gateInfo(now uint64, t *thread) (gated bool, flipAt uint64) {
 // on gate can open.
 func (t *thread) oldestLivePeek(now uint64) (issuedAt, doneAt uint64, live bool) {
 	for _, u := range t.inFlight {
-		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
-			continue
+		if u.liveLoad(now) {
+			return u.issuedAt, u.doneAt, true
 		}
-		return u.issuedAt, u.doneAt, true
 	}
 	return 0, 0, false
 }
@@ -326,6 +320,28 @@ func (c *CPU) couldDispatchHead(t *thread) bool {
 	return true
 }
 
+// fingerprint is the comparable value Fingerprint returns: compare it with ==
+// and print it with %+v. Every field is a full word, so == compiles to one
+// memory comparison.
+type fingerprint struct {
+	committed                       uint64
+	rrFetch                         int
+	intIQ, fpIQ, lq, sq, pendStores int
+	threads                         int
+	thread                          [maxThreads]threadPrint
+}
+
+type threadPrint struct {
+	committed                        uint64
+	frontend, rob                    int
+	headSeq, nextSeq, epoch          uint64
+	iqInt, iqFP, lq, sq              int
+	fetchBlockedUntil, curILine      uint64
+	imissPending                     uint64 // 1 while an I-miss is outstanding
+	squashes, loads, stores, imisses uint64
+	warmedAt, finishedAt             uint64
+}
+
 // Fingerprint summarizes every piece of architecturally observable CPU state
 // that skipped cycles are forbidden to change — committed counts, queue
 // occupancies, per-thread frontend/ROB/epoch state, fetch blocks, squash and
@@ -333,20 +349,27 @@ func (c *CPU) couldDispatchHead(t *thread) bool {
 // ApplyQuiet replays (Cycles, dispatch/commit rotations, gated-cycle stats)
 // and lazy internal cleanup nothing observes. The two-speed-clock lockstep
 // equivalence tests compare it cycle by cycle between a skipping machine and
-// a ticking twin; it is a diagnostic aid, not a stable format.
-func (c *CPU) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "committed=%d rrFetch=%d iq=%d/%d lsq=%d/%d ps=%d",
-		c.TotalCommitted, c.rrFetch, c.intIQUsed, c.fpIQUsed, c.lqUsed, c.sqUsed,
-		len(c.pendingStores)-c.psHead)
-	for _, t := range c.threads {
-		fmt.Fprintf(&b, " [t%d c=%d fe=%d rob=%d head=%d next=%d ep=%d iq=%d/%d lsq=%d/%d"+
-			" fbu=%d imiss=%v iline=%d sq=%d ld=%d st=%d im=%d warm=%d fin=%d]",
-			t.id, t.committed, t.feLen(), t.robCount(), t.headSeq, t.nextSeq, t.epoch,
-			t.iqInt, t.iqFP, t.lq, t.sq, t.fetchBlockedUntil, t.imissPending, t.curILine,
-			t.squashes, t.loads, t.stores, t.imisses, t.warmedAt, t.finishedAt)
+// a ticking twin, so it is built without formatting or allocation; it is a
+// diagnostic aid, not a stable format.
+func (c *CPU) Fingerprint() (f fingerprint) {
+	f.committed, f.rrFetch = c.TotalCommitted, c.rrFetch
+	f.intIQ, f.fpIQ, f.lq, f.sq = c.intIQUsed, c.fpIQUsed, c.lqUsed, c.sqUsed
+	f.pendStores = len(c.pendingStores) - c.psHead
+	f.threads = len(c.threads)
+	for i, t := range c.threads {
+		f.thread[i] = threadPrint{
+			committed: t.committed, frontend: t.feLen(), rob: t.robCount(),
+			headSeq: t.headSeq, nextSeq: t.nextSeq, epoch: t.epoch,
+			iqInt: t.iqInt, iqFP: t.iqFP, lq: t.lq, sq: t.sq,
+			fetchBlockedUntil: t.fetchBlockedUntil, curILine: t.curILine,
+			squashes: t.squashes, loads: t.loads, stores: t.stores, imisses: t.imisses,
+			warmedAt: t.warmedAt, finishedAt: t.finishedAt,
+		}
+		if t.imissPending {
+			f.thread[i].imissPending = 1
+		}
 	}
-	return b.String()
+	return f
 }
 
 // depReadyAt reports when producer dep's result becomes available purely by

@@ -10,7 +10,7 @@ import (
 
 // obsFingerprint is CPU.Fingerprint: the architecturally observable state
 // skipped cycles are forbidden to change (see its doc for the exclusions).
-func obsFingerprint(c *CPU) string { return c.Fingerprint() }
+func obsFingerprint(c *CPU) fingerprint { return c.Fingerprint() }
 
 // newQuiesceRig is newRig with the Table-1-sized L1D and a long fixed
 // memory latency: the shared rig's 4 KB / 8-MSHR L1D saturates under a real
@@ -58,13 +58,13 @@ func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 	r := newQuiesceRig(t, cfg, realGen(t, "mcf", 0), realGen(t, "art", 1))
 	quiet := 0
 	predictedQuiet := false
-	var before string
+	var before fingerprint
 	for now := uint64(1); now <= 30_000; now++ {
 		r.q.RunUntil(now)
 		r.cpu.Tick(now)
 		after := obsFingerprint(r.cpu)
 		if predictedQuiet && after != before {
-			t.Fatalf("cycle %d was predicted quiet but Tick changed state\nbefore: %s\nafter:  %s",
+			t.Fatalf("cycle %d was predicted quiet but Tick changed state\nbefore: %+v\nafter:  %+v",
 				now, before, after)
 		}
 		qa, qok := r.q.NextAt()
@@ -112,7 +112,7 @@ func runSkipping(r *rig, cycles uint64) uint64 {
 // unlike obsFingerprint it also includes the bookkeeping AdvanceQuiet
 // replays, which must come out identical too.
 type fullState struct {
-	Fingerprint          string
+	Fingerprint          fingerprint
 	Cycles               uint64
 	RRFetch, RRDisp, RRC int
 	Gated                []uint64
