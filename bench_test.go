@@ -59,6 +59,24 @@ func BenchmarkTable2Machine(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles/run")
 }
 
+// BenchmarkRunILPMix measures the simulator on Table 2's 8-ILP mix: eight
+// cache-resident threads keep the issue queues full and the int and FP issue
+// widths spent, so this is the machine where the issue stage's select order
+// decides the cycle count (the memory-bound benchmarks above rarely exhaust
+// a width budget).
+func BenchmarkRunILPMix(b *testing.B) {
+	b.ReportAllocs()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(benchCfg("gzip", "bzip2", "sixtrack", "eon", "mesa", "galgel", "crafty", "wupwise"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Cycles
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles/run")
+}
+
 // benchMEMMix runs the two-speed clock's best case: a 4-thread all-MEM mix
 // (four copies of mcf, the most memory-bound app) on the paper's most
 // conservative memory system — all four channels ganged into one logical

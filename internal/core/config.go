@@ -287,14 +287,14 @@ func (c Config) WarmupFingerprint() string {
 		c.L1I, c.L1D, c.L2, c.L3, c.PerfectL1, c.PerfectL2, c.PerfectL3)
 }
 
-func (c Config) watchdogCycles() uint64 {
+func (c *Config) watchdogCycles() uint64 {
 	if c.WatchdogCycles > 0 {
 		return c.WatchdogCycles
 	}
 	return 500_000
 }
 
-func (c Config) maxCycles() uint64 {
+func (c *Config) maxCycles() uint64 {
 	if c.MaxCycles > 0 {
 		return c.MaxCycles
 	}

@@ -111,19 +111,17 @@ type uop struct {
 	epoch      uint64
 	tid        int32 // owning hardware thread
 	state      uint8
+	pending    uint8  // wakeup/select: dependences on an unissued producer or an in-flight load
 	doneAt     uint64 // pendingDone while a load is in flight
 	issuedAt   uint64
 	dep1, dep2 uint64 // absolute producer sequence numbers (noDep = none)
 
-	// readySeen/readyAt memoize the dependence-readiness bound
-	// max(depReadyAt(dep1), depReadyAt(dep2)) as of the owning thread's
-	// wakeSeq epoch. Producer completion times only ever move earlier, and
-	// every state change that can move a bound (an issue granting a finite
-	// doneAt, a load fill, a squash) bumps wakeSeq, so a cached bound with a
-	// matching epoch is exact: issue's scan and the quiescence probe skip the
-	// two-ROB-slot walk for the common not-yet-ready case.
-	readySeen uint64
-	readyAt   uint64
+	// Wakeup/select state (see issue); Restore rebuilds it. Links name a
+	// consumer's ROB slot and which of its dependences the list is for.
+	stamp   uint64    // global dispatch order
+	readyAt uint64    // latest completion among the resolved dependences
+	cons    uint32    // head of this producer's consumer list
+	next    [2]uint32 // successors on dep1's and dep2's consumer lists
 }
 
 type feEntry struct {
@@ -157,12 +155,10 @@ type thread struct {
 	lq, sq    int // this thread's LQ/SQ occupancy
 	committed uint64
 
-	// wakeSeq is the readiness-cache epoch: bumped whenever this thread's
-	// dependence-readiness picture can change — an instruction issues with a
-	// finite completion time, a load fill lands. It versions uop.readySeen.
-	wakeSeq uint64
-
 	inFlight []*uop // loads in flight, issue order (for miss classification)
+	// liveLoads counts the loads issued and not yet filled or squashed;
+	// inFlight also holds matured loads until oldestLoadAge pops them.
+	liveLoads int
 
 	curILine          uint64
 	imissPending      bool
@@ -184,17 +180,18 @@ type thread struct {
 
 func (t *thread) robCount() int { return int(t.nextSeq - t.headSeq) }
 
-// hasL1DMiss reports whether the thread is experiencing a data-cache miss:
-// its oldest in-flight load has been outstanding longer than an L1 hit.
-func (t *thread) hasL1DMiss(now uint64, cfg Config) bool {
-	return t.oldestLoadAge(now) > cfg.L1DLatency+2
+// missAge is how long a thread's oldest in-flight load may be outstanding
+// before the miss-aware fetch policies count the thread as missing: longer
+// than an L2 hit for FetchStall, than an L1 hit for DG, DWarn and Coop.
+func (c *CPU) missAge() uint64 {
+	if c.cfg.Policy == FetchStall {
+		return c.cfg.L1DLatency + c.cfg.L2Latency + 4
+	}
+	return c.cfg.L1DLatency + 2
 }
 
-// hasL2Miss reports whether the oldest in-flight load has been outstanding
-// longer than an L2 hit would take.
-func (t *thread) hasL2Miss(now uint64, cfg Config) bool {
-	return t.oldestLoadAge(now) > cfg.L1DLatency+cfg.L2Latency+4
-}
+// hasMiss reports whether t counts as missing under the fetch policy.
+func (c *CPU) hasMiss(now uint64, t *thread) bool { return t.oldestLoadAge(now) > c.missAge() }
 
 func (t *thread) oldestLoadAge(now uint64) uint64 {
 	for len(t.inFlight) > 0 {
@@ -206,19 +203,6 @@ func (t *thread) oldestLoadAge(now uint64) uint64 {
 		return now - u.issuedAt
 	}
 	return 0
-}
-
-// liveLoads counts the thread's loads still in flight at now. Matured entries
-// leave inFlight lazily, only when oldestLoadAge reaches them, so its length
-// depends on which earlier cycles were ticked; this count does not.
-func (t *thread) liveLoads(now uint64) int {
-	n := 0
-	for _, u := range t.inFlight {
-		if u.liveLoad(now) {
-			n++
-		}
-	}
-	return n
 }
 
 // liveLoad reports whether an inFlight entry is a load still outstanding at
@@ -292,8 +276,8 @@ func (f *loadFill) OnFill(at uint64) {
 	v := &t.rob[seq%uint64(len(t.rob))]
 	if v.seq == seq && v.epoch == epoch && v.state == stIssued {
 		v.doneAt = at
-		t.wakeSeq++ // the load's consumers may have become ready
-		c.issueDirty = true
+		t.liveLoads--
+		c.wakeConsumers(t, v)
 	}
 }
 
@@ -386,17 +370,12 @@ type CPU struct {
 	threads  []*thread
 	l1i, l1d *cache.Level
 
-	waiting []*uop // issue-queue contents in dispatch order
-
-	// issueIdleUntil/issueDirty memoize a whole no-op issue scan: after a
-	// scan that issues nothing and parks nothing, every live waiting entry
-	// carries a fresh readiness bound, so the scan's outcome is fixed until
-	// the earliest such bound (issueIdleUntil) arrives, a fill bumps a
-	// thread's wakeSeq, or dispatch adds an entry (both set issueDirty).
-	// Skipped scans have no observable effect: they would issue nothing,
-	// touch no stat, and only defer dropping already-inert entries.
-	issueIdleUntil uint64
-	issueDirty     bool
+	// The issue queue as wakeup/select state (see issue).
+	ready   []wakeRef           // issue-eligible uops, in stamp order
+	ring    [ringSize][]wakeRef // woken uops, bucketed by readyAt
+	ringN   int                 // ring entries, squashed ones included
+	drained uint64              // ring buckets up to this cycle are in ready
+	stamp   uint64              // last dispatch stamp handed out
 
 	rrFetch    int
 	rrDispatch int
@@ -474,9 +453,6 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 			gen:      g,
 			rob:      make([]uop, cfg.ROBPerThread),
 			curILine: ^uint64(0),
-			// The readiness-cache epoch starts at 1 so a freshly dispatched
-			// uop's zero-value readySeen can never alias a live epoch.
-			wakeSeq: 1,
 		}
 		c.threads = append(c.threads, t)
 	}
@@ -525,7 +501,7 @@ func (c *CPU) RegisterMetrics(reg *obs.Registry) {
 	for i, t := range c.threads {
 		t := t
 		reg.Sampled(fmt.Sprintf("cpu.inflight_loads.t%d", i),
-			func(now uint64) float64 { return float64(t.liveLoads(now)) })
+			func(uint64) float64 { return float64(t.liveLoads) })
 		reg.Sampled(fmt.Sprintf("cpu.rob.t%d", i),
 			func(uint64) float64 { return float64(t.robCount()) })
 		reg.Gauge(fmt.Sprintf("cpu.gated_dispatch.t%d", i),
@@ -591,7 +567,7 @@ func (c *CPU) Tick(now uint64) {
 // Acted reports whether the last Tick made real progress (fetched,
 // dispatched, issued, committed, or drained anything). It is a performance
 // hint for the run loop — a working machine is rarely about to go quiet, so
-// the loop can defer the full NextWorkAt probe until a Tick comes back idle.
+// the loop can defer the full ProbeQuiet probe until a Tick comes back idle.
 // Correctness never depends on it: a false negative merely delays a skip
 // window by a cycle, and skipping less is always exact.
 func (c *CPU) Acted() bool { return c.acted }
@@ -602,7 +578,7 @@ func (c *CPU) meta(t *thread, critical bool) cache.Meta {
 		Thread:   t.id,
 		Critical: critical,
 		State: mem.ThreadState{
-			Outstanding:  len(t.inFlight),
+			Outstanding:  t.liveLoads,
 			ROBOccupancy: t.robCount(),
 			IQOccupancy:  t.iqInt,
 		},
@@ -705,10 +681,8 @@ func (c *CPU) dispatchGated(now uint64, t *thread) bool {
 	}
 	total := c.cfg.IntIQ + c.cfg.FPIQ
 	switch c.cfg.Policy {
-	case FetchStall:
-		return t.hasL2Miss(now, c.cfg) && t.iqInt+t.iqFP >= c.missAllowance(total, n)
-	case DG, DWarn, Coop:
-		return t.hasL1DMiss(now, c.cfg) && t.iqInt+t.iqFP >= c.missAllowance(total, n)
+	case FetchStall, DG, DWarn, Coop:
+		return c.hasMiss(now, t) && t.iqInt+t.iqFP >= c.missAllowance(total, n)
 	case ICOUNT, RoundRobin:
 		// ICOUNT's fetch feedback equalizes per-thread in-flight counts at
 		// an equilibrium set by the front-end depth, independent of thread
@@ -737,34 +711,20 @@ func (c *CPU) missAllowance(total, threads int) int {
 // dispatchOne moves t's oldest frontend instruction into the ROB and issue
 // queue; it returns false when a resource (ROB, IQ, LSQ) is exhausted.
 func (c *CPU) dispatchOne(t *thread) bool {
-	if t.robCount() >= c.cfg.ROBPerThread {
+	if !c.couldDispatchHead(t) {
 		return false
 	}
-	in := t.frontend[t.feHead].in
+	in := &t.frontend[t.feHead].in
 	fp := in.Kind == workload.FPOp
-	if fp {
-		if c.fpIQUsed >= c.cfg.FPIQ {
-			return false
-		}
-	} else if c.intIQUsed >= c.cfg.IntIQ {
-		return false
-	}
-	switch in.Kind {
-	case workload.Load:
-		if c.lqUsed >= c.cfg.LQ {
-			return false
-		}
-	case workload.Store:
-		if c.sqUsed >= c.cfg.SQ {
-			return false
-		}
-	}
-
 	seq := t.nextSeq
 	t.nextSeq++
 	u := &t.rob[seq%uint64(len(t.rob))]
-	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: int32(t.id), state: stWaiting, doneAt: pendingDone}
+	u.in = *in
+	u.seq, u.epoch, u.tid, u.state, u.doneAt, u.issuedAt = seq, t.epoch, int32(t.id), stWaiting, pendingDone, 0
 	u.dep1, u.dep2 = depSeq(seq, in.Dep1), depSeq(seq, in.Dep2)
+	c.stamp++
+	u.stamp = c.stamp
+	c.enqueue(t, u)
 
 	if fp {
 		c.fpIQUsed++
@@ -781,8 +741,6 @@ func (c *CPU) dispatchOne(t *thread) bool {
 		c.sqUsed++
 		t.sq++
 	}
-	c.waiting = append(c.waiting, u)
-	c.issueDirty = true // the new entry may be immediately issuable
 	t.feHead++
 	if t.feHead == len(t.frontend) {
 		t.frontend = t.frontend[:0]
@@ -800,109 +758,160 @@ func depSeq(seq uint64, dist int) uint64 {
 
 // ---------------------------------------------------------------- issue
 
-func (c *CPU) issue(now uint64) {
-	if !c.issueDirty && now < c.issueIdleUntil {
-		return // memoized no-op: nothing can become issuable before issueIdleUntil
-	}
-	intLeft, fpLeft := c.cfg.IntIssueWidth, c.cfg.FPIssueWidth
-	aluInt, multInt := c.cfg.IntALU, c.cfg.IntMult
-	aluFP, multFP := c.cfg.FPALU, c.cfg.FPMult
+// Issue is wakeup/select (DESIGN §11). Dispatch links a uop onto the
+// consumer list of each producer still waiting on landed work (an unissued
+// one, an in-flight load); the producer's issue or fill resolves the link. A
+// uop with no dependence left pending is scheduled for readyAt: into the
+// ready set once that has passed, until then into the wake ring. Select
+// walks only the ready set, oldest stamp first: the dispatch order.
 
-	// idle accumulates the min readiness bound over kept live entries; any
-	// issue or ready-but-blocked park forces it to 0 (scan again next cycle).
-	idle := ^uint64(0)
-	issued := false
-	keep := c.waiting[:0]
-	for _, u := range c.waiting {
-		t := c.threads[u.tid]
-		if u.epoch == ^uint64(0) || u.state != stWaiting {
-			continue // squashed (poisoned) or already issued: drop
-		}
-		if intLeft == 0 && fpLeft == 0 {
-			idle = 0 // readiness unknown: budget ran out before the check
-			keep = append(keep, u)
+const (
+	ringSize = 16 // a power of two above the 1/4/7-cycle ALU latencies
+	noLink   = ^uint32(0)
+)
+
+// wakeRef names a scheduled uop. The stamp tells a live entry from one whose
+// uop was squashed (and possibly its slot re-dispatched) since.
+type wakeRef struct {
+	u     *uop
+	stamp uint64
+}
+
+func (e wakeRef) live() bool { return e.u.stamp == e.stamp && e.u.epoch != ^uint64(0) }
+
+// enqueue files a dispatched uop: each dependence either resolves now or
+// links u onto its producer's consumer list. A thread dispatches in sequence
+// order, so the lists stay youngest-first, which unlinkSquashed relies on.
+func (c *CPU) enqueue(t *thread, u *uop) {
+	u.readyAt, u.pending, u.cons, u.next = 0, 0, noLink, [2]uint32{noLink, noLink}
+	for k, dep := range [2]uint64{u.dep1, u.dep2} {
+		if r := t.depReadyAt(dep); r != ^uint64(0) {
+			u.readyAt = max(u.readyAt, r)
 			continue
 		}
-		if u.readySeen == t.wakeSeq {
-			if u.readyAt > now {
-				if u.readyAt < idle {
-					idle = u.readyAt
-				}
-				keep = append(keep, u)
-				continue
-			}
-		} else {
-			r := t.depReadyAt(u.dep1)
-			if r2 := t.depReadyAt(u.dep2); r2 > r {
-				r = r2
-			}
-			u.readySeen, u.readyAt = t.wakeSeq, r
-			if r > now {
-				if r < idle {
-					idle = r
-				}
-				keep = append(keep, u)
-				continue
-			}
-		}
-		fp := u.in.Kind == workload.FPOp
-		long := u.in.Lat >= 7
-		switch {
-		case fp && long:
-			if fpLeft == 0 || multFP == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			fpLeft--
-			multFP--
-		case fp:
-			if fpLeft == 0 || aluFP == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			fpLeft--
-			aluFP--
-		case long:
-			if intLeft == 0 || multInt == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			intLeft--
-			multInt--
-		default:
-			if intLeft == 0 || aluInt == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			intLeft--
-			aluInt--
-		}
+		p := &t.rob[dep%uint64(len(t.rob))]
+		u.next[k] = p.cons
+		p.cons = uint32(u.seq%uint64(len(t.rob)))<<1 | uint32(k)
+		u.pending++
+	}
+	if u.pending == 0 {
+		c.schedule(u)
+	}
+}
 
+// wakeConsumers resolves the dependences on p, which now has a completion
+// time.
+func (c *CPU) wakeConsumers(t *thread, p *uop) {
+	for l := p.cons; l != noLink; {
+		v := &t.rob[l>>1]
+		l = v.next[l&1]
+		v.readyAt = max(v.readyAt, p.doneAt)
+		if v.pending--; v.pending == 0 {
+			c.schedule(v)
+		}
+	}
+	p.cons = noLink
+}
+
+// unlinkSquashed drops the links of consumers younger than keep (squashed)
+// from producer dep's list; the list is youngest-first, so they are a prefix.
+func (t *thread) unlinkSquashed(dep, keep uint64) {
+	if dep == noDep || dep > keep || dep < t.headSeq {
+		return
+	}
+	p := &t.rob[dep%uint64(len(t.rob))]
+	for p.seq == dep && p.cons != noLink && t.rob[p.cons>>1].seq > keep {
+		p.cons = t.rob[p.cons>>1].next[p.cons&1]
+	}
+}
+
+// schedule files u, whose dependences have all resolved, for readyAt.
+func (c *CPU) schedule(u *uop) {
+	e := wakeRef{u, u.stamp}
+	if u.readyAt <= c.drained {
+		c.insertReady(e)
+		return
+	}
+	b := &c.ring[u.readyAt%ringSize]
+	*b = append(*b, e)
+	c.ringN++
+}
+
+// insertReady keeps the ready set in stamp order.
+func (c *CPU) insertReady(e wakeRef) {
+	i := len(c.ready)
+	c.ready = append(c.ready, e)
+	for ; i > 0 && c.ready[i-1].stamp > e.stamp; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
+	c.ready[i] = e
+}
+
+// drainRing moves the ring entries due by now into the ready set: those in
+// the buckets of the cycles since the last drain, at most one lap. Entries
+// more than a lap ahead share a bucket with nearer ones and stay put.
+func (c *CPU) drainRing(now uint64) {
+	for cyc := max(c.drained+1, now-min(now, ringSize-1)); cyc <= now && c.ringN > 0; cyc++ {
+		b := &c.ring[cyc%ringSize]
+		keep := (*b)[:0]
+		for _, e := range *b {
+			switch {
+			case !e.live():
+				c.ringN--
+			case e.u.readyAt <= now:
+				c.ringN--
+				c.insertReady(e)
+			default:
+				keep = append(keep, e)
+			}
+		}
+		*b = keep
+	}
+	c.drained = now
+}
+
+func (c *CPU) issue(now uint64) {
+	c.drainRing(now)
+	// This cycle's budgets: width[fp] is the int/FP issue width, and
+	// units[2*fp+long] the int/FP ALU and multiplier pools.
+	width := [2]int{c.cfg.IntIssueWidth, c.cfg.FPIssueWidth}
+	units := [4]int{c.cfg.IntALU, c.cfg.IntMult, c.cfg.FPALU, c.cfg.FPMult}
+	keep := c.ready[:0]
+	for i, e := range c.ready {
+		if !e.live() {
+			continue // squashed: drop
+		}
+		if width[0] == 0 && width[1] == 0 {
+			keep = append(keep, c.ready[i:]...)
+			break
+		}
+		u := e.u
+		fp, pool := 0, 0
+		if u.in.Kind == workload.FPOp {
+			fp, pool = 1, 2
+		}
+		if u.in.Lat >= 7 {
+			pool++
+		}
+		if width[fp] == 0 || units[pool] == 0 {
+			keep = append(keep, e)
+			continue
+		}
+		width[fp]--
+		units[pool]--
+		t := c.threads[u.tid]
 		if u.in.Kind == workload.Load {
 			if !c.issueLoad(now, t, u) {
-				// MSHR full: undo the slot and retry next cycle. The retry
-				// bumps MSHRFull every cycle, so the memo must stay off.
-				intLeft++
-				aluInt++
-				idle = 0
-				keep = append(keep, u)
+				width[0]++ // MSHR full: undo the slot and retry next cycle
+				units[0]++
+				keep = append(keep, e)
 				continue
 			}
-			// A load issues with doneAt still pendingDone: consumers' cached
-			// bounds stay infinite until the fill lands (which bumps wakeSeq),
-			// so the cache epoch need not move here.
 		} else {
 			c.issueALU(now, t, u)
-			t.wakeSeq++ // a finite doneAt appeared: cached bounds are stale
 		}
-		// Issued: leave the issue queue.
-		issued = true
 		c.acted = true
-		if fp {
+		if fp == 1 {
 			c.fpIQUsed--
 			t.iqFP--
 		} else {
@@ -910,11 +919,7 @@ func (c *CPU) issue(now uint64) {
 			t.iqInt--
 		}
 	}
-	c.waiting = keep
-	if issued {
-		idle = 0 // widths/units refresh next cycle; kept entries may issue then
-	}
-	c.issueIdleUntil, c.issueDirty = idle, false
+	c.ready = keep
 }
 
 func (c *CPU) issueALU(now uint64, t *thread, u *uop) {
@@ -932,6 +937,7 @@ func (c *CPU) issueALU(now uint64, t *thread, u *uop) {
 			c.q.ScheduleHandler(u.doneAt, e)
 		}
 	}
+	c.wakeConsumers(t, u)
 }
 
 func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
@@ -947,6 +953,7 @@ func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
 	u.issuedAt = now
 	u.doneAt = pendingDone
 	t.loads++
+	t.liveLoads++
 	t.inFlight = append(t.inFlight, u)
 	return true
 }
@@ -971,8 +978,8 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	for s := seq + 1; s < t.nextSeq; s++ {
 		v := &t.rob[s%uint64(len(t.rob))]
 		replay = append(replay, v.in)
-		c.releaseSquashed(t, v)
-		v.epoch = ^uint64(0) // poison: stale waiting refs and callbacks miss
+		c.releaseSquashed(t, v, seq)
+		v.epoch = ^uint64(0) // poison: stale wakeRefs and callbacks miss
 	}
 	for _, fe := range t.frontend[t.feHead:] {
 		replay = append(replay, fe.in)
@@ -1003,9 +1010,12 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	t.inFlight = kept
 }
 
-// releaseSquashed returns a squashed uop's queue resources.
-func (c *CPU) releaseSquashed(t *thread, v *uop) {
+// releaseSquashed returns a squashed uop's queue resources and unlinks it
+// from the consumer lists of producers that survive (seq <= keep).
+func (c *CPU) releaseSquashed(t *thread, v *uop, keep uint64) {
 	if v.state == stWaiting {
+		t.unlinkSquashed(v.dep1, keep)
+		t.unlinkSquashed(v.dep2, keep)
 		if v.in.Kind == workload.FPOp {
 			c.fpIQUsed--
 			t.iqFP--
@@ -1018,6 +1028,9 @@ func (c *CPU) releaseSquashed(t *thread, v *uop) {
 	case workload.Load:
 		c.lqUsed--
 		t.lq--
+		if v.state == stIssued && v.doneAt == pendingDone {
+			t.liveLoads--
+		}
 	case workload.Store:
 		c.sqUsed--
 		t.sq--

@@ -90,7 +90,7 @@ func (c *CPU) fetchOrder(now uint64) []*thread {
 		// everyone; then keep the ICOUNT-best thread.
 		kept := cands[:0]
 		for _, t := range cands {
-			if !t.hasL2Miss(now, c.cfg) {
+			if !c.hasMiss(now, t) {
 				kept = append(kept, t)
 			}
 		}
@@ -104,7 +104,7 @@ func (c *CPU) fetchOrder(now uint64) []*thread {
 	case DG:
 		kept := cands[:0]
 		for _, t := range cands {
-			if !t.hasL1DMiss(now, c.cfg) {
+			if !c.hasMiss(now, t) {
 				kept = append(kept, t)
 			}
 		}
@@ -116,13 +116,13 @@ func (c *CPU) fetchOrder(now uint64) []*thread {
 		sortByICount(cands)
 		ordered := c.scratchOrder[:0]
 		for _, t := range cands {
-			if !t.hasL1DMiss(now, c.cfg) {
+			if !c.hasMiss(now, t) {
 				ordered = append(ordered, t)
 			}
 		}
 		missStart := len(ordered)
 		for _, t := range cands {
-			if t.hasL1DMiss(now, c.cfg) {
+			if c.hasMiss(now, t) {
 				ordered = append(ordered, t)
 			}
 		}

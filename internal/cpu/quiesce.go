@@ -3,42 +3,28 @@ package cpu
 import "smtdram/internal/workload"
 
 // This file is the CPU half of the two-speed simulation clock (DESIGN §11).
-// NextWorkAt answers "when could Tick next do anything", and AdvanceQuiet
+// ProbeQuiet answers "when could Tick next do anything", and ApplyQuiet
 // replays the fixed per-cycle bookkeeping for the cycles the run loop then
-// skips. Everything here is read-only except AdvanceQuiet: the skipped
+// skips. Everything here is read-only except ApplyQuiet: the skipped
 // cycles' Ticks never run, so probing for quiescence must not perturb state
 // those Ticks would have seen.
 
-// NextWorkAt reports the earliest cycle after now at which Tick could do
-// anything beyond its fixed per-cycle bookkeeping (cycle/rr counters and
-// gated-dispatch accounting — see AdvanceQuiet). It returns now+1 when the
-// core may make progress on the very next cycle, ^uint64(0) when only a
-// memory-side completion event can unblock it, and otherwise the earliest
-// of the core's own time triggers: a fetch penalty expiring, a frontend
-// head reaching dispatch, a finite execution completing, a dependence
-// becoming ready, or a fetch gate flipping — on, which changes the
-// gated-dispatch accounting, or off, which lets dispatch proceed.
+// ProbeQuiet is the fused quiescence probe. quiet is false when Tick could
+// make progress at now+1. Otherwise next is the earliest cycle after now at
+// which Tick could do anything beyond its fixed per-cycle bookkeeping
+// (cycle/rr counters and gated-dispatch accounting, which fx captures for
+// ApplyQuiet): ^uint64(0) when only a memory-side completion event can
+// unblock the core, else the earliest of its own time triggers — a fetch
+// penalty expiring, a frontend head reaching dispatch, a finite execution
+// completing, a woken uop becoming ready, or a fetch gate flipping (on,
+// which changes the gated-dispatch accounting, or off, which lets dispatch
+// proceed).
 //
-// The contract is exact, not heuristic: for every cycle m in
-// (now, NextWorkAt(now)), Tick(m) would change nothing but that fixed
-// bookkeeping, so the run loop may replace those Ticks with AdvanceQuiet
-// and stay byte-identical to a cycle-by-cycle run.
-func (c *CPU) NextWorkAt(now uint64) uint64 {
-	next, _, quiet := c.ProbeQuiet(now)
-	if !quiet {
-		return now + 1
-	}
-	return next
-}
-
-// ProbeQuiet is the fused quiescence probe: one pass over the machine
-// computes both NextWorkAt's bound and QuietFx's replay terms, sharing the
-// expensive scans (the waiting-list dependence walk, the per-thread gate
-// evaluation) that calling the two separately would repeat. quiet is false
-// when Tick could do real work at now+1 — the window never opens, and next
-// and fx are meaningless. The run loop's deep-skip path calls this at every
-// span open and re-open, so the shared pass is directly on the skip-mode
-// critical path.
+// The contract is exact, not heuristic: for every cycle m in (now, next),
+// Tick(m) would change nothing but that fixed bookkeeping, so the run loop
+// may replace those Ticks with ApplyQuiet and stay byte-identical to a
+// cycle-by-cycle run. The deep-skip path calls this at every span open and
+// re-open.
 func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 	if c.psHead < len(c.pendingStores) {
 		if !c.l1d.WouldBlock(c.pendingStores[c.psHead].addr) {
@@ -111,48 +97,40 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 			}
 		}
 	}
-	// Issue: a waiting uop with every dependence ready issues next cycle —
-	// unless it is a load parked on a full MSHR file, whose every retry
-	// fails identically until a landed fill event frees an entry; its one
-	// observable effect per cycle (an MSHRFull count) is replayed by
-	// ApplyQuiet. A not-yet-ready uop's latest finite dependence-completion
-	// time bounds the skip.
-	for _, u := range c.waiting {
-		if u.epoch == ^uint64(0) || u.state != stWaiting {
-			continue // squashed or stale: Tick drops these without effect
+	// Issue: a ready uop issues next cycle, unless it is a load parked on a
+	// full MSHR file: every retry fails identically until a landed fill
+	// frees an entry, and its one effect per cycle (an MSHRFull count) is
+	// replayed by ApplyQuiet. (issue() always reaches issueLoad for these:
+	// unit pools are non-empty and the failed attempt restores the width.)
+	// A woken uop's readiness cycle bounds the skip.
+	parked := func(u *uop) bool {
+		if u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
+			fx.mshrBump++
+			return true
 		}
-		t := c.threads[u.tid]
-		r := u.readyAt
-		if u.readySeen != t.wakeSeq {
-			// Refreshing the shared readiness memo is state-neutral: issue()
-			// would compute and cache the identical bound.
-			r = t.depReadyAt(u.dep1)
-			if r2 := t.depReadyAt(u.dep2); r2 > r {
-				r = r2
-			}
-			u.readySeen, u.readyAt = t.wakeSeq, r
-		}
-		if r <= now {
-			if u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
-				// MSHR-parked: constant retry, replayed in aggregate.
-				// issue() always reaches issueLoad for these: Validate
-				// guarantees non-empty functional-unit pools, and the failed
-				// attempt restores the issue width, so neither depletes
-				// across a quiet window.
-				fx.mshrBump++
-				continue
-			}
+		return false
+	}
+	for _, e := range c.ready {
+		if e.live() && !parked(e.u) {
 			return 0, fx, false
 		}
-		if r < next {
-			next = r
+	}
+	for b := 0; c.ringN > 0 && b < ringSize; b++ {
+		for _, e := range c.ring[b] {
+			switch {
+			case !e.live():
+			case e.u.readyAt > now:
+				next = min(next, e.u.readyAt)
+			case !parked(e.u):
+				return 0, fx, false
+			}
 		}
 	}
 	return next, fx, true
 }
 
 // QuietFx is the fixed per-cycle effect of a quiet Tick, captured by
-// QuietFx() at the start of a skip window while the machine state is exactly
+// ProbeQuiet at the start of a skip window while the machine state is exactly
 // what every skipped Tick would have seen, and replayed k times by
 // ApplyQuiet. Splitting capture from application matters for the deep-skip
 // path: the run loop fires memory-internal events inside the window, and the
@@ -167,15 +145,6 @@ type QuietFx struct {
 	// gated flags the threads (bit i = thread i) whose dispatch would sit
 	// gated every skipped cycle. New caps the machine at 64 contexts.
 	gated uint64
-}
-
-// QuietFx evaluates the per-cycle replay terms at cycle now, the last landed
-// cycle before a skip window. Read-only. Callers that also need NextWorkAt's
-// bound should call ProbeQuiet once instead; this wrapper exists for the
-// fused AdvanceQuiet path and for tests.
-func (c *CPU) QuietFx(now uint64) QuietFx {
-	_, fx, _ := c.ProbeQuiet(now)
-	return fx
 }
 
 // ApplyQuiet replays fx for k skipped cycles: the cycle counter and the
@@ -199,17 +168,6 @@ func (c *CPU) ApplyQuiet(fx QuietFx, k uint64) {
 			t.gated += k
 		}
 	}
-}
-
-// AdvanceQuiet applies the aggregate effect of Ticking every cycle in
-// (now, to], which the caller has established (via NextWorkAt) to be quiet.
-// It is QuietFx + ApplyQuiet fused, for callers that fire no events inside
-// the window.
-func (c *CPU) AdvanceQuiet(now, to uint64) {
-	if to <= now {
-		return
-	}
-	c.ApplyQuiet(c.QuietFx(now), to-now)
 }
 
 // TakeWake reports whether any event since the last call delivered
@@ -240,7 +198,7 @@ func (c *CPU) gateInfo(now uint64, t *thread) (gated bool, flipAt uint64) {
 	}
 	total := c.cfg.IntIQ + c.cfg.FPIQ
 	switch c.cfg.Policy {
-	case FetchStall:
+	case FetchStall, DG, DWarn, Coop:
 		if t.iqInt+t.iqFP < c.missAllowance(total, n) {
 			return false, 0
 		}
@@ -248,28 +206,13 @@ func (c *CPU) gateInfo(now uint64, t *thread) (gated bool, flipAt uint64) {
 		if !live {
 			return false, 0
 		}
-		if now-issuedAt > c.cfg.L1DLatency+c.cfg.L2Latency+4 {
+		if now-issuedAt > c.missAge() {
 			if doneAt > now && doneAt != pendingDone {
 				return true, doneAt
 			}
 			return true, 0
 		}
-		return false, issuedAt + c.cfg.L1DLatency + c.cfg.L2Latency + 5
-	case DG, DWarn, Coop:
-		if t.iqInt+t.iqFP < c.missAllowance(total, n) {
-			return false, 0
-		}
-		issuedAt, doneAt, live := t.oldestLivePeek(now)
-		if !live {
-			return false, 0
-		}
-		if now-issuedAt > c.cfg.L1DLatency+2 {
-			if doneAt > now && doneAt != pendingDone {
-				return true, doneAt
-			}
-			return true, 0
-		}
-		return false, issuedAt + c.cfg.L1DLatency + 3
+		return false, issuedAt + c.missAge() + 1
 	case ICOUNT, RoundRobin:
 		return t.iqInt+t.iqFP >= total/4, 0
 	default:
@@ -293,8 +236,9 @@ func (t *thread) oldestLivePeek(now uint64) (issuedAt, doneAt uint64, live bool)
 	return 0, 0, false
 }
 
-// couldDispatchHead mirrors dispatchOne's resource checks without moving
-// the instruction: true means the next Tick would dispatch it.
+// couldDispatchHead reports whether the resources dispatchOne needs for t's
+// frontend head (a ROB entry, an issue-queue entry, an LQ/SQ entry) are
+// free.
 func (c *CPU) couldDispatchHead(t *thread) bool {
 	if t.robCount() >= c.cfg.ROBPerThread {
 		return false
@@ -377,8 +321,7 @@ func (c *CPU) Fingerprint() (f fingerprint) {
 // cycle, or ^uint64(0) when only an event (a load fill) or the producer's
 // own issue — which is itself landed work — can supply it. A uop is
 // issue-eligible at now exactly when max over its deps of this bound is
-// <= now; issue() and the probe share that bound through the uop's
-// readySeen/readyAt memo.
+// <= now; enqueue and wakeConsumers resolve dependences to it.
 func (t *thread) depReadyAt(dep uint64) uint64 {
 	if dep == noDep || dep < t.headSeq {
 		return 0 // committed, or no producer

@@ -3,15 +3,16 @@ package cpu
 // Snapshot/Restore for the SMT core (DESIGN §15). Everything mutable is
 // serialized verbatim: per-thread ROB arrays (whole arrays, not just live
 // entries — stale slots participate in slot-recycling checks), frontend
-// deques, replay lists, issue-queue contents (as (thread, slot) pairs, since
-// the waiting list holds pointers into the ROB arrays), in-flight load
-// lists, readiness-memo epochs, and every counter the run loop or stats
-// collection reads. Configuration and wiring (caches, event queue, warmup
-// targets) are not serialized — restore targets a CPU assembled from an
-// identical Config.
+// deques, replay lists, the issue queue's dispatch order as (thread, slot)
+// pairs, in-flight load lists, and every counter the run loop or stats
+// collection reads. The wakeup/select state and live-load counts are derived
+// and rebuilt by Restore; reserved words (once readiness memos) are written
+// as zero. Configuration and wiring (caches, event queue, warmup targets)
+// are not serialized — restore targets a CPU built from an identical Config.
 
 import (
 	"fmt"
+	"sort"
 
 	"smtdram/internal/cache"
 	"smtdram/internal/snap"
@@ -69,27 +70,29 @@ func writeUop(w *snap.Writer, u *uop) {
 	w.U64(u.issuedAt)
 	w.U64(u.dep1)
 	w.U64(u.dep2)
-	w.U64(u.readySeen)
-	w.U64(u.readyAt)
+	w.U64(0) // reserved: readiness memo
+	w.U64(0)
 }
 
 func readUop(r *snap.Reader, tid int32) uop {
-	return uop{
-		in:        readInstr(r),
-		seq:       r.U64(),
-		epoch:     r.U64(),
-		tid:       tid,
-		state:     r.U8(),
-		doneAt:    r.U64(),
-		issuedAt:  r.U64(),
-		dep1:      r.U64(),
-		dep2:      r.U64(),
-		readySeen: r.U64(),
-		readyAt:   r.U64(),
+	u := uop{
+		in:       readInstr(r),
+		seq:      r.U64(),
+		epoch:    r.U64(),
+		tid:      tid,
+		state:    r.U8(),
+		doneAt:   r.U64(),
+		issuedAt: r.U64(),
+		dep1:     r.U64(),
+		dep2:     r.U64(),
+		cons:     noLink,
 	}
+	r.U64() // reserved: readiness memo
+	r.U64()
+	return u
 }
 
-// slotOf is how ROB-internal pointers (waiting list, in-flight loads)
+// slotOf is how ROB-internal pointers (issue queue, in-flight loads)
 // serialize: any occupant's seq maps to the slot it lives in, so the pair
 // (thread, seq%len(rob)) names the pointed-at slot even for poisoned or
 // recycled entries.
@@ -107,8 +110,8 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 	w.I64(int64(c.fpIQUsed))
 	w.I64(int64(c.lqUsed))
 	w.I64(int64(c.sqUsed))
-	w.U64(c.issueIdleUntil)
-	w.Bool(c.issueDirty)
+	w.U64(0) // reserved: issue-scan memo
+	w.Bool(false)
 	w.Bool(c.wake)
 	w.Bool(c.acted)
 
@@ -120,8 +123,9 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 		writeCacheMeta(w, s.meta)
 	}
 
-	w.U64(uint64(len(c.waiting)))
-	for _, u := range c.waiting {
+	queued := c.queued()
+	w.U64(uint64(len(queued)))
+	for _, u := range queued {
 		t := c.threads[u.tid]
 		w.U64(uint64(u.tid))
 		w.U64(slotOf(t, u))
@@ -155,7 +159,7 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 		w.I64(int64(t.lq))
 		w.I64(int64(t.sq))
 		w.U64(t.committed)
-		w.U64(t.wakeSeq)
+		w.U64(0) // reserved: readiness-memo epoch
 		w.U64(uint64(len(t.inFlight)))
 		for _, u := range t.inFlight {
 			w.U64(slotOf(t, u))
@@ -188,8 +192,8 @@ func (c *CPU) Restore(r *snap.Reader) error {
 	c.fpIQUsed = int(r.I64())
 	c.lqUsed = int(r.I64())
 	c.sqUsed = int(r.I64())
-	c.issueIdleUntil = r.U64()
-	c.issueDirty = r.Bool()
+	r.U64() // reserved: issue-scan memo
+	r.Bool()
 	c.wake = r.Bool()
 	c.acted = r.Bool()
 
@@ -254,7 +258,7 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		t.lq = int(r.I64())
 		t.sq = int(r.I64())
 		t.committed = r.U64()
-		t.wakeSeq = r.U64()
+		r.U64() // reserved: readiness-memo epoch
 		t.inFlight = t.inFlight[:0]
 		nIF := r.U64()
 		if err := r.Err(); err != nil {
@@ -279,7 +283,12 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		t.gated = r.U64()
 	}
 
-	c.waiting = c.waiting[:0]
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// Stamps follow the serialized dispatch order. Older writers may list
+	// squashed or issued entries, or a slot twice: a first listing counts.
+	c.stamp = 0
 	for _, wr := range waitRefs {
 		if wr.tid >= uint64(len(c.threads)) {
 			return fmt.Errorf("%w: waiting entry thread %d out of range", snap.ErrCorrupt, wr.tid)
@@ -288,9 +297,42 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		if wr.slot >= uint64(len(t.rob)) {
 			return fmt.Errorf("%w: waiting entry slot %d out of range", snap.ErrCorrupt, wr.slot)
 		}
-		c.waiting = append(c.waiting, &t.rob[wr.slot])
+		if u := &t.rob[wr.slot]; u.state == stWaiting && u.epoch != ^uint64(0) && u.stamp == 0 {
+			c.stamp++
+			u.stamp = c.stamp
+		}
 	}
-	return r.Err()
+	c.ready, c.ring, c.ringN, c.drained = c.ready[:0], [ringSize][]wakeRef{}, 0, 0
+	for _, t := range c.threads {
+		t.liveLoads = 0
+		for s := t.headSeq; s < t.nextSeq; s++ {
+			u := &t.rob[s%uint64(len(t.rob))]
+			switch {
+			case u.state == stIssued && u.doneAt == pendingDone:
+				t.liveLoads++
+			case u.state != stWaiting:
+			case u.stamp == 0:
+				return fmt.Errorf("%w: thread %d seq %d missing from the issue queue", snap.ErrCorrupt, t.id, s)
+			default:
+				c.enqueue(t, u)
+			}
+		}
+	}
+	return nil
+}
+
+// queued lists the issue queue's uops in dispatch order.
+func (c *CPU) queued() []*uop {
+	var q []*uop
+	for _, t := range c.threads {
+		for s := t.headSeq; s < t.nextSeq; s++ {
+			if u := &t.rob[s%uint64(len(t.rob))]; u.state == stWaiting {
+				q = append(q, u)
+			}
+		}
+	}
+	sort.Slice(q, func(i, j int) bool { return q[i].stamp < q[j].stamp })
+	return q
 }
 
 // ResolveRef maps CPU-kind references (pending load fills, I-fills, branch
